@@ -15,46 +15,78 @@ let float_field doc name =
   | Some x -> x
   | None -> fail "field %S is not a number" name
 
-(* The fleet member (load_gen --fleet --fleet-out): one row per worker
-   count in {1, 2, 4}, each an exactly-reconciled run, plus the sweep's
-   throughput gate — the sharded fleets must beat one worker on the same
-   workload.  Validated whenever the member is present; [--fleet] makes
-   its absence an error. *)
+(* The fleet member (load_gen --fleet --fleet-out): two sweeps over
+   worker counts {1, 2, 4}, each row an exactly-reconciled run.
+   - capacity rows ([fleet/wW]): the workload's sequential clients against
+     per-worker LRUs too small for the seed set at W = 1.  The capacity
+     effect is gated on exact counts: every lookup misses at W = 1
+     (clients x queries misses), each distinct seed misses once at W >= 2.
+   - parallel rows ([fleet/parallel/wW]): at least W concurrent clients at
+     equal total capacity, so every row misses exactly once per seed; W
+     workers must beat one on qps when the recorded core count is at least
+     two (on one core there is no parallelism to measure).
+   Validated whenever the member is present; [--fleet] makes its absence
+   an error. *)
 let check_fleet fleet =
-  ignore (field (field fleet "workload") "queries");
+  let workload = field fleet "workload" in
+  let int_of row name = int_of_float (float_field row name) in
+  let seeds = int_of workload "seeds" and cores = int_of workload "cores" in
   let rows =
     match Jsonout.to_list (field fleet "rows") with
     | Some (_ :: _ as l) -> l
     | _ -> fail "fleet rows missing or empty"
   in
-  let int_of row name = int_of_float (float_field row name) in
-  let by_workers =
+  let checked =
     List.map
       (fun row ->
         let w = int_of row "workers" in
+        let sweep =
+          match field row "sweep" with
+          | Jsonout.Str ("capacity" | "parallel" as s) -> s
+          | _ -> fail "fleet row for %d workers has no capacity/parallel sweep" w
+        in
+        let want_name =
+          if sweep = "capacity" then Printf.sprintf "fleet/w%d" w else Printf.sprintf "fleet/%s/w%d" sweep w
+        in
         (match field row "name" with
-        | Jsonout.Str name when name = Printf.sprintf "fleet/w%d" w -> ()
-        | Jsonout.Str name -> fail "fleet row for %d workers is named %S" w name
+        | Jsonout.Str name when name = want_name -> ()
+        | Jsonout.Str name -> fail "%s row for %d workers is named %S" sweep w name
         | _ -> fail "fleet row name is not a string");
-        if int_of row "wrong" <> 0 then fail "fleet/w%d row records wrong verdicts" w;
-        if int_of row "restarts" <> 0 then fail "fleet/w%d row records worker restarts" w;
+        if int_of row "wrong" <> 0 then fail "%s row records wrong verdicts" want_name;
+        if int_of row "restarts" <> 0 then fail "%s row records worker restarts" want_name;
         (match field row "reconciled" with
         | Bool true -> ()
-        | _ -> fail "fleet/w%d row is not marked reconciled" w);
+        | _ -> fail "%s row is not marked reconciled" want_name);
         let served = int_of row "served" and ok = int_of row "ok" and extra = int_of row "extra" in
         if served <> ok + extra then
-          fail "fleet/w%d: served %d != %d ok + %d re-served" w served ok extra;
+          fail "%s: served %d != %d ok + %d re-served" want_name served ok extra;
+        let misses = int_of row "cache_misses" in
+        let want_misses =
+          if sweep = "capacity" && w = 1 then int_of row "clients" * int_of row "queries" else seeds
+        in
+        if misses <> want_misses then
+          fail "%s: %d cache misses, expected exactly %d" want_name misses want_misses;
+        if int_of row "cache_hits" + misses <> served then
+          fail "%s: cache lookups != queries served" want_name;
         let qps = float_field row "qps" in
-        if qps <= 0.0 then fail "fleet/w%d: non-positive qps" w;
-        (w, qps))
+        if qps <= 0.0 then fail "%s: non-positive qps" want_name;
+        ((sweep, w), qps))
       rows
   in
-  if List.sort compare (List.map fst by_workers) <> [ 1; 2; 4 ] then
-    fail "fleet rows must cover worker counts {1, 2, 4} exactly";
-  let qps w = List.assoc w by_workers in
-  if qps 2 <= qps 1 then fail "fleet/w2 qps (%g) does not beat fleet/w1 (%g)" (qps 2) (qps 1);
-  if qps 4 <= qps 1 then fail "fleet/w4 qps (%g) does not beat fleet/w1 (%g)" (qps 4) (qps 1);
-  List.length by_workers
+  let workers_of sweep = List.sort compare (List.filter_map (fun ((s, w), _) -> if s = sweep then Some w else None) checked) in
+  List.iter
+    (fun sweep ->
+      if workers_of sweep <> [ 1; 2; 4 ] then
+        fail "fleet %s rows must cover worker counts {1, 2, 4} exactly" sweep)
+    [ "capacity"; "parallel" ];
+  let qps w = List.assoc ("parallel", w) checked in
+  if cores >= 2 then
+    List.iter
+      (fun w ->
+        if qps w <= qps 1 then
+          fail "fleet/parallel/w%d qps (%g) does not beat fleet/parallel/w1 (%g)" w (qps w) (qps 1))
+      [ 2; 4 ];
+  List.length checked
 
 let () =
   let fleet_required = Array.exists (( = ) "--fleet") Sys.argv in

@@ -105,23 +105,22 @@ let usage = "load_gen [options]  -- closed-loop load generator for tfree-serve"
 
 let request_for seed = { Service.default_request with n = !inst_n; seed }
 
+(* Consecutive chunks of [--batch] requests, one per exchange. *)
+let rec group_batches = function
+  | [] -> []
+  | l ->
+      let rec take n = function
+        | x :: tl when n > 0 ->
+            let h, rest = take (n - 1) tl in
+            (x :: h, rest)
+        | rest -> ([], rest)
+      in
+      let h, rest = take !batch l in
+      h :: group_batches rest
+
 (* Client [c]'s query stream: seeds cycle 1..S, identically across
    clients, so the distinct instance-key count is exactly S. *)
-let plan_for_client _c =
-  let reqs = List.init !queries (fun q -> request_for (1 + (q mod !seeds))) in
-  let rec group = function
-    | [] -> []
-    | l ->
-        let rec take n = function
-          | x :: tl when n > 0 ->
-              let h, rest = take (n - 1) tl in
-              (x :: h, rest)
-          | rest -> ([], rest)
-        in
-        let h, rest = take !batch l in
-        h :: group rest
-  in
-  group reqs
+let plan_for_client _c = group_batches (List.init !queries (fun q -> request_for (1 + (q mod !seeds))))
 
 (* The exact wire bytes of one all-ok exchange, as (framed, payload):
    request plus reply as the client serializes them and the server shapes
@@ -494,19 +493,47 @@ let run_load ~pref ~fault ~expected ~path =
 (* The fleet workload routes every request to the worker that owns its
    instance key — the same {!Service.shard_of_request} hash the fleet
    parent shards by — so each worker's LRU sees only its slice of the
-   seed space.  That sharding is the single-core throughput lever the
-   sweep measures: with [--seeds] past a worker's [--cache] capacity,
-   one worker thrashes (every lookup rebuilds its instance) while at
-   two or four workers every shard slice fits its cache and repeats
-   hit.  Clients group each [--batch] chunk per shard (one exchange
-   per shard the chunk touches) and account retries per exchange, so
-   the reconciliation [served = ok + extra] stays exact at any batch
-   size: a retried exchange re-serves exactly its own items. *)
+   seed space.  The sweep measures two effects of that sharding as
+   separate rows:
+
+   - capacity: [--clients] sequential clients, [--cache] entries per
+     worker.  With [--seeds] past one worker's capacity, one worker
+     thrashes (every lookup rebuilds its instance) while at two or four
+     workers every shard slice fits its cache.  This is a cache effect,
+     asserted from exact miss counts, not from wall-clock time.
+   - parallel: [fleet_max] concurrent clients (at least W at every W),
+     each running [--queries], at equal total capacity — each worker gets
+     [fleet_max·cache / W] entries, so every distinct instance is built
+     exactly once at every W and the only difference left is how many
+     workers serve at once.  The "W workers beat one" qps gate sits here.
+
+   Clients group each [--batch] chunk per shard (one exchange per shard
+   the chunk touches) and account retries per exchange, so the
+   reconciliation [served = ok + extra] stays exact at any batch size: a
+   retried exchange re-serves exactly its own items. *)
+
+let fleet_max = 4
+
+(* One sweep point: client processes, queries per client, cache entries
+   per worker. *)
+type fleet_load = { fl_clients : int; fl_queries : int; fl_cache : int }
+
+let capacity_load () = { fl_clients = !clients; fl_queries = !queries; fl_cache = !cache_capacity }
+
+let parallel_load ~workers =
+  { fl_clients = fleet_max; fl_queries = !queries; fl_cache = fleet_max * !cache_capacity / workers }
+
+(* Client [c]'s query stream under [load]: seeds cycle 1..S, each client
+   starting [c·S/clients] seeds in, so concurrent clients are not in
+   lockstep on one shard; the distinct instance-key count stays S. *)
+let fleet_plan load c =
+  let offset = c * !seeds / load.fl_clients in
+  group_batches (List.init load.fl_queries (fun q -> request_for (1 + ((q + offset) mod !seeds))))
 
 (* One fleet client: returns (ok, wrong, failed, retries, extra) where
    [extra] counts queries the server served again because an exchange
    was retried. *)
-let run_fleet_client ~workers ~path ~expected c =
+let run_fleet_client ~load ~workers ~path ~expected c =
   let m = Metrics.create () in
   let ok = ref 0 and wrong = ref 0 and failed = ref 0 and extra = ref 0 in
   List.iter
@@ -550,10 +577,12 @@ let run_fleet_client ~workers ~path ~expected c =
                   incr failed)
             reqs results)
         groups)
-    (plan_for_client c);
+    (fleet_plan load c);
   (!ok, !wrong, !failed, Metrics.retries m, !extra)
 
 type fleet_row = {
+  fr_sweep : string;
+  fr_load : fleet_load;
   fr_workers : int;
   fr_qps : float;
   fr_served : int;
@@ -571,8 +600,8 @@ type fleet_row = {
    merged {"op":"stats"} exactly — served = ok + extra, zero wrong,
    zero errors, cache lookups = served, per-worker gauges summing to
    the total, no restarts. *)
-let run_fleet_load ~workers ~expected ~path =
-  let label = Printf.sprintf "fleet w%d" workers in
+let run_fleet_load ~sweep ~load ~workers ~expected ~path =
+  let label = Printf.sprintf "fleet %s w%d" sweep workers in
   let all_paths = path :: List.init workers (Service.worker_path ~path) in
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) all_paths;
   let server =
@@ -581,7 +610,7 @@ let run_fleet_load ~workers ~expected ~path =
         (try
            ignore
              (Service.serve ~max_clients:!max_clients ~line_timeout_s:10.0
-                ~cache_capacity:!cache_capacity ~workers ~path ())
+                ~cache_capacity:load.fl_cache ~workers ~path ())
          with _ -> Unix._exit 2);
         Unix._exit 0
     | pid -> pid
@@ -599,11 +628,13 @@ let run_fleet_load ~workers ~expected ~path =
   let rd, wr = Unix.pipe () in
   let t0 = Unix.gettimeofday () in
   let pids =
-    List.init !clients (fun c ->
+    List.init load.fl_clients (fun c ->
         match Unix.fork () with
         | 0 ->
             Unix.close rd;
-            let ok, wrong, failed, nretries, extra = run_fleet_client ~workers ~path ~expected c in
+            let ok, wrong, failed, nretries, extra =
+              run_fleet_client ~load ~workers ~path ~expected c
+            in
             let line = Printf.sprintf "%d %d %d %d %d %d\n" c ok wrong failed nretries extra in
             ignore (Unix.write_substring wr line 0 (String.length line));
             Unix._exit 0
@@ -629,8 +660,8 @@ let run_fleet_load ~workers ~expected ~path =
     pids;
   let t1 = Unix.gettimeofday () in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf)) in
-  if List.length lines <> !clients then
-    fail "[%s] collected %d client tallies, expected %d" label (List.length lines) !clients;
+  if List.length lines <> load.fl_clients then
+    fail "[%s] collected %d client tallies, expected %d" label (List.length lines) load.fl_clients;
   let ok = ref 0 and wrong = ref 0 and failed = ref 0 and nretries = ref 0 and extra = ref 0 in
   List.iter
     (fun line ->
@@ -652,7 +683,7 @@ let run_fleet_load ~workers ~expected ~path =
   (match Unix.waitpid [] server with
   | _, Unix.WEXITED 0 -> ()
   | _ -> fail "[%s] fleet supervisor did not exit cleanly" label);
-  let total = !clients * !queries in
+  let total = load.fl_clients * load.fl_queries in
   if !wrong > 0 then fail "[%s] %d wrong verdicts out of %d queries" label !wrong total;
   if !failed > 0 then fail "[%s] %d exchanges exhausted their retry budget" label !failed;
   if !ok <> total then fail "[%s] %d ok replies, expected %d" label !ok total;
@@ -688,8 +719,10 @@ let run_fleet_load ~workers ~expected ~path =
   Printf.printf
     "load_gen: [%s] %d clients x %d queries: %.0f qps, served %d (%d ok + %d re-served), cache \
      %d/%d hit/miss\n"
-    label !clients !queries qps served !ok !extra hits misses;
+    label load.fl_clients load.fl_queries qps served !ok !extra hits misses;
   {
+    fr_sweep = sweep;
+    fr_load = load;
     fr_workers = workers;
     fr_qps = qps;
     fr_served = served;
@@ -714,6 +747,7 @@ let fleet_json rows =
             ("seeds", num !seeds);
             ("cache", num !cache_capacity);
             ("n", num !inst_n);
+            ("cores", num (Domain.recommended_domain_count ()));
           ] );
       ( "rows",
         Jsonout.List
@@ -721,8 +755,15 @@ let fleet_json rows =
              (fun r ->
                Jsonout.Obj
                  [
-                   ("name", Jsonout.Str (Printf.sprintf "fleet/w%d" r.fr_workers));
+                   ( "name",
+                     Jsonout.Str
+                       (if r.fr_sweep = "capacity" then Printf.sprintf "fleet/w%d" r.fr_workers
+                        else Printf.sprintf "fleet/%s/w%d" r.fr_sweep r.fr_workers) );
+                   ("sweep", Jsonout.Str r.fr_sweep);
                    ("workers", num r.fr_workers);
+                   ("clients", num r.fr_load.fl_clients);
+                   ("queries", num r.fr_load.fl_queries);
+                   ("cache", num r.fr_load.fl_cache);
                    ("qps", Jsonout.Num r.fr_qps);
                    ("served", num r.fr_served);
                    ("ok", num r.fr_ok);
@@ -757,30 +798,58 @@ let write_fleet_out file rows =
       Out_channel.output_char oc '\n');
   Printf.printf "load_gen: fleet rows written to %s\n" file
 
+(* Both sweeps over 1, 2 and 4 workers, best of two measured runs per
+   point: every run reconciles exactly on its own, so the extra run only
+   filters one-off scheduler noise out of the wall-clock qps.  The
+   capacity sweep is gated on exact miss counts (one worker rebuilds on
+   every lookup, a fleet builds each distinct instance once); the parallel
+   sweep builds each instance once at every W, and W workers must beat one
+   on qps wherever the machine has the cores to run them at once. *)
 let run_fleet_sweep ~expected ~stem =
-  (* Two measured runs per worker count, keeping the faster: every run
-     reconciles exactly on its own, so the extra run only filters
-     one-off scheduler noise out of the wall-clock qps the gate below
-     compares. *)
-  let rows =
+  if !seeds <= !cache_capacity then
+    fail "the capacity sweep needs --seeds (%d) past --cache (%d) for one worker to thrash" !seeds
+      !cache_capacity;
+  let sweep name load =
     List.map
       (fun w ->
-        let run i = run_fleet_load ~workers:w ~expected ~path:(Printf.sprintf "%s.f%d.r%d" stem w i) in
+        let run i =
+          run_fleet_load ~sweep:name ~load:(load w) ~workers:w ~expected
+            ~path:(Printf.sprintf "%s.%c%d.r%d" stem name.[0] w i)
+        in
         let a = run 0 and b = run 1 in
         if b.fr_qps > a.fr_qps then b else a)
       [ 1; 2; 4 ]
   in
-  let qps w =
-    match List.find_opt (fun r -> r.fr_workers = w) rows with
-    | Some r -> r.fr_qps
-    | None -> fail "fleet sweep lost its w%d row" w
-  in
-  Printf.printf "load_gen: fleet qps  w1 %.0f  w2 %.0f  w4 %.0f\n" (qps 1) (qps 2) (qps 4);
-  if qps 2 <= qps 1 then
-    fail "fleet of 2 (%.0f qps) does not beat one worker (%.0f qps)" (qps 2) (qps 1);
-  if qps 4 <= qps 1 then
-    fail "fleet of 4 (%.0f qps) does not beat one worker (%.0f qps)" (qps 4) (qps 1);
-  if !fleet_out <> "" then write_fleet_out !fleet_out rows
+  let capacity = sweep "capacity" (fun _ -> capacity_load ()) in
+  let parallel = sweep "parallel" (fun w -> parallel_load ~workers:w) in
+  let row rows w = List.find (fun r -> r.fr_workers = w) rows in
+  let total = !clients * !queries in
+  List.iter
+    (fun r ->
+      let want = if r.fr_workers = 1 then total else !seeds in
+      if r.fr_misses <> want then
+        fail "fleet capacity w%d: %d cache misses, expected exactly %d" r.fr_workers r.fr_misses want)
+    capacity;
+  List.iter
+    (fun r ->
+      if r.fr_misses <> !seeds then
+        fail "fleet parallel w%d: %d cache misses at equal total capacity, expected exactly %d"
+          r.fr_workers r.fr_misses !seeds)
+    parallel;
+  let qps rows w = (row rows w).fr_qps in
+  Printf.printf "load_gen: fleet capacity misses  w1 %d  w2 %d  w4 %d\n" (row capacity 1).fr_misses
+    (row capacity 2).fr_misses (row capacity 4).fr_misses;
+  Printf.printf "load_gen: fleet parallel qps  w1 %.0f  w2 %.0f  w4 %.0f (%d cores)\n" (qps parallel 1)
+    (qps parallel 2) (qps parallel 4) (Domain.recommended_domain_count ());
+  if Domain.recommended_domain_count () >= 2 then
+    List.iter
+      (fun w ->
+        if qps parallel w <= qps parallel 1 then
+          fail "parallel fleet of %d (%.0f qps) does not beat one worker (%.0f qps)" w
+            (qps parallel w) (qps parallel 1))
+      [ 2; 4 ]
+  else print_endline "load_gen: one core: the parallel qps gate needs at least two";
+  if !fleet_out <> "" then write_fleet_out !fleet_out (capacity @ parallel)
 
 let () =
   Arg.parse specs (fun a -> fail "unexpected argument %S" a) usage;
@@ -821,7 +890,10 @@ let () =
       fail "--fleet/--workers measure the clean path; drop --fault (%S)" !fault_spec;
     if !fleet_sweep then run_fleet_sweep ~expected ~stem
     else begin
-      let row = run_fleet_load ~workers:!workers ~expected ~path:stem in
+      let row =
+        run_fleet_load ~sweep:"capacity" ~load:(capacity_load ()) ~workers:!workers ~expected
+          ~path:stem
+      in
       if !fleet_out <> "" then write_fleet_out !fleet_out [ row ]
     end;
     print_endline "load_gen: ok";

@@ -30,6 +30,8 @@ let get_varint s pos limit =
     shift := !shift + 7;
     if c land 0x80 = 0 then fin := true
   done;
+  (* nine bytes reach the sign bit; the encoder never writes a negative *)
+  if !x < 0 then E.corrupt "varint overflow";
   !x
 
 (* Same definition as the wire protocol's frame checksum. *)
@@ -78,27 +80,27 @@ let decode s =
   let limit = len - 2 in
   let n = get_varint s pos limit in
   let m = get_varint s pos limit in
-  let remaining = ref m in
+  (* every edge costs at least two bytes (two varints) *)
+  if m > (limit - !pos) / 2 then
+    E.corrupt "header declares m=%d but the body holds at most %d edges" m ((limit - !pos) / 2);
+  (* Non-negative deltas make the pairs strictly increasing with u < v (the
+     first edge's u = -1 + du fails the range check when du = 0), so they
+     fill the buffer in the sorted order the build takes without a sort. *)
+  let buf = Graph.Edge_buf.create m in
   let pu = ref (-1) and pv = ref 0 in
-  let rec step () =
-    if !remaining = 0 then begin
-      if !pos <> limit then E.corrupt "%d trailing bytes after the last edge" (limit - !pos);
-      Seq.Nil
-    end
-    else begin
-      decr remaining;
-      let du = get_varint s pos limit in
-      let dv = get_varint s pos limit in
-      let u = !pu + du in
-      let v = if du > 0 then u + 1 + dv else !pv + 1 + dv in
-      if u < 0 || v < 0 || u >= n || v >= n then
-        E.corrupt "decoded edge (%d,%d) out of range (n=%d)" u v n;
-      pu := u;
-      pv := v;
-      Seq.Cons ((u, v), step)
-    end
-  in
-  let g = Graph.of_edge_seq ~n step in
+  for _ = 1 to m do
+    let du = get_varint s pos limit in
+    let dv = get_varint s pos limit in
+    let u = !pu + du in
+    let v = if du > 0 then u + 1 + dv else !pv + 1 + dv in
+    if u < 0 || v < 0 || u >= n || v >= n then
+      E.corrupt "decoded edge (%d,%d) out of range (n=%d)" u v n;
+    pu := u;
+    pv := v;
+    Graph.Edge_buf.add buf u v
+  done;
+  if !pos <> limit then E.corrupt "%d trailing bytes after the last edge" (limit - !pos);
+  let g = Graph.of_sorted_buf ~n buf in
   if Graph.m g <> m then
     E.corrupt "header declares m=%d but %d distinct edges decoded" m (Graph.m g);
   g

@@ -19,9 +19,12 @@
     non-negative and small, so a million-edge graph costs a handful of
     bits per edge.  {!decode} fails closed with a typed
     {!Dataset_error.Dataset_error}: bad magic, unsupported version, any
-    truncation, a checksum mismatch (catches every single bit flip),
-    out-of-range endpoints, trailing bytes, or a decoded edge count that
-    disagrees with the header. *)
+    truncation, a checksum mismatch (catches every single bit flip), a
+    varint reaching the sign bit, a declared edge count the body is too
+    short to hold (rejected before allocating), out-of-range endpoints,
+    trailing bytes, or a decoded edge count that disagrees with the
+    header.  The deltas decode straight into sorted adjacency rows, with
+    no sort pass. *)
 
 open Tfree_graph
 

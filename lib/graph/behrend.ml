@@ -86,18 +86,20 @@ let graph_of_set ~m_param s =
   List.iter
     (fun x -> if x < 0 || x >= m_param then invalid_arg "Behrend.graph_of_set: set out of range")
     s;
-  let edges = ref [] in
+  let buf = Graph.Edge_buf.create (3 * m_param * List.length s) in
   for x = 0 to m_param - 1 do
     List.iter
       (fun sv ->
         let a = vertex_a ~m_param x
         and b = vertex_b ~m_param (x + sv)
         and c = vertex_c ~m_param (x + (2 * sv)) in
-        edges := (a, b) :: (b, c) :: (a, c) :: !edges)
+        Graph.Edge_buf.add buf a b;
+        Graph.Edge_buf.add buf b c;
+        Graph.Edge_buf.add buf a c)
       s
   done;
   {
-    graph = Graph.of_edges ~n:(6 * m_param) !edges;
+    graph = Graph.of_buf ~n:(6 * m_param) buf;
     m_param;
     set_size = List.length s;
     planted = m_param * List.length s;

@@ -16,37 +16,82 @@
 (** Removals forced by the greedy packing. *)
 let removal_lower_bound g = List.length (Triangle.greedy_packing g)
 
-(** Greedy hitting set: repeatedly delete the edge participating in the most
-    remaining triangles.  Returns the number of edges removed. *)
-let removal_upper_bound g =
-  let rec loop g removed =
-    match Triangle.find g with
-    | None -> removed
-    | Some _ ->
-        (* Count triangle participation per edge, remove the max. *)
-        let counts : (Graph.edge, int ref) Hashtbl.t = Hashtbl.create 64 in
-        let bump e =
-          match Hashtbl.find_opt counts e with
-          | Some r -> incr r
-          | None -> Hashtbl.add counts e (ref 1)
-        in
-        Triangle.iter g (fun a b c ->
-            bump (Graph.normalize_edge (a, b));
-            bump (Graph.normalize_edge (b, c));
-            bump (Graph.normalize_edge (a, c)));
-        let best =
-          Hashtbl.fold
-            (fun e r acc ->
-              match acc with
-              | Some (_, n) when n >= !r -> acc
-              | _ -> Some (e, !r))
-            counts None
-        in
-        (match best with
-        | None -> removed
-        | Some ((u, v), _) -> loop (Graph.filter_edges g (fun a b -> not (a = u && b = v))) (removed + 1))
+module Int_set = Set.Make (Int)
+
+(* Index of [x] in the sorted array [a], which holds it. *)
+let index_of a x =
+  let rec go lo hi =
+    let mid = (lo + hi) / 2 in
+    if a.(mid) = x then mid else if a.(mid) < x then go (mid + 1) hi else go lo mid
   in
-  loop g 0
+  go 0 (Array.length a)
+
+(* Calls [f w] for every common neighbour [w] of [u] and [v]. *)
+let iter_common g u v f =
+  let a = Graph.neighbors g u and b = Graph.neighbors g v in
+  let i = ref 0 and j = ref 0 in
+  while !i < Array.length a && !j < Array.length b do
+    let x = a.(!i) and y = b.(!j) in
+    if x < y then incr i
+    else if y < x then incr j
+    else begin
+      f x;
+      incr i;
+      incr j
+    end
+  done
+
+(** Greedy hitting set: repeatedly delete the edge in the most remaining
+    triangles, ties to the lexicographically smallest edge.  Each edge's
+    triangle count is computed once and decremented as the edges of its
+    triangles go, so no triangle is enumerated twice. *)
+let greedy_removal_set g =
+  let n = Graph.n g in
+  (* Edge (u, v), u < v, is slot [off.(u) + index of v in u's row]; slot
+     order is lexicographic edge order. *)
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Graph.degree g u
+  done;
+  let slots = max 1 off.(n) in
+  let slot a b =
+    let u = min a b and v = max a b in
+    off.(u) + index_of (Graph.neighbors g u) v
+  in
+  let count = Array.make slots 0 and alive = Array.make slots true in
+  let ends = Array.make slots (0, 0) in
+  (* the queue orders by count descending, then slot ascending *)
+  let key s = ((n - count.(s)) * slots) + s in
+  let queue = ref Int_set.empty in
+  Graph.iter_edges g (fun u v ->
+      let s = slot u v in
+      ends.(s) <- (u, v);
+      iter_common g u v (fun _ -> count.(s) <- count.(s) + 1);
+      if count.(s) > 0 then queue := Int_set.add (key s) !queue);
+  let drop s =
+    queue := Int_set.remove (key s) !queue;
+    count.(s) <- count.(s) - 1;
+    if count.(s) > 0 then queue := Int_set.add (key s) !queue
+  in
+  let rec loop removed =
+    match Int_set.min_elt_opt !queue with
+    | None -> List.rev removed
+    | Some k ->
+        let s = k mod slots in
+        queue := Int_set.remove k !queue;
+        alive.(s) <- false;
+        let u, v = ends.(s) in
+        iter_common g u v (fun w ->
+            let su = slot u w and sv = slot v w in
+            if alive.(su) && alive.(sv) then begin
+              drop su;
+              drop sv
+            end);
+        loop ((u, v) :: removed)
+  in
+  loop []
+
+let removal_upper_bound g = List.length (greedy_removal_set g)
 
 (** Certified check that [g] is ǫ-far: the packing lower bound alone
     suffices.  [false] means "not certified", not "close". *)

@@ -5,7 +5,12 @@
 (** Removals forced by the greedy edge-disjoint packing (lower bound). *)
 val removal_lower_bound : Graph.t -> int
 
-(** Size of a greedy triangle-hitting edge set (upper bound). *)
+(** Greedy triangle-hitting edge set, in removal order: each step removes
+    the edge in the most remaining triangles, ties to the lexicographically
+    smallest.  Removing it leaves the graph triangle-free. *)
+val greedy_removal_set : Graph.t -> Graph.edge list
+
+(** Size of {!greedy_removal_set} (upper bound). *)
 val removal_upper_bound : Graph.t -> int
 
 (** Is the graph certifiably ǫ-far?  [false] means "not certified by the

@@ -17,9 +17,10 @@ val gnm : Rng.t -> n:int -> m:int -> Graph.t
     distribution µ of §4.2.1 when p = γ/√n. *)
 val tripartite_gnp : Rng.t -> part:int -> p:float -> Graph.t
 
-(** Triangle-free bipartite noise among the given vertices (split in halves,
-    cross pairs iid with probability [p]); returns the edges. *)
-val bipartite_noise : Rng.t -> int list -> p:float -> (int * int) list
+(** [bipartite_noise rng buf ~lo ~hi ~p] pushes triangle-free bipartite
+    noise on the vertices [lo .. hi-1] (split in halves, cross pairs iid
+    with probability [p]) into [buf], in lexicographic order. *)
+val bipartite_noise : Rng.t -> Graph.Edge_buf.t -> lo:int -> hi:int -> p:float -> unit
 
 (** [triangles] vertex-disjoint planted triangles plus ~[noise] bipartite
     edges on the remaining vertices; the triangle set is exactly the planted
@@ -32,8 +33,9 @@ val hub_far : Rng.t -> n:int -> hubs:int -> pairs:int -> Graph.t
 
 (** Triangle factors on three parts of [n_part] vertices starting at vertex
     [offset]: [rounds] random tripartite perfect matchings of triangles.
-    Returns (edges, lower bound on the edge-disjoint triangle count). *)
-val tripartite_planted : Rng.t -> n_part:int -> rounds:int -> int -> (int * int) list * int
+    Returns (the graph on [offset + 3·n_part] vertices, lower bound on its
+    edge-disjoint triangle count). *)
+val tripartite_planted : Rng.t -> n_part:int -> rounds:int -> int -> Graph.t * int
 
 (** ǫ-far instance at target average degree [d] (vertex-disjoint planting for
     small d, triangle factors for large d, plus triangle-free noise). *)

@@ -7,15 +7,51 @@ let normalize_edge (u, v) = if u <= v then (u, v) else (v, u)
 let check_vertex n v =
   if v < 0 || v >= n then invalid_arg (Printf.sprintf "Graph: vertex %d out of range [0,%d)" v n)
 
+module Edge_buf = struct
+  (* Endpoints of edge [i] sit at [data.(2i)] and [data.(2i+1)]. *)
+  type t = { mutable data : int array; mutable len : int }
+
+  let create edges = { data = Array.make (2 * max 8 edges) 0; len = 0 }
+
+  let add b u v =
+    let i = 2 * b.len in
+    if i + 2 > Array.length b.data then begin
+      let grown = Array.make (2 * Array.length b.data) 0 in
+      Array.blit b.data 0 grown 0 i;
+      b.data <- grown
+    end;
+    b.data.(i) <- u;
+    b.data.(i + 1) <- v;
+    b.len <- b.len + 1
+
+  let relabel b perm =
+    for i = 0 to (2 * b.len) - 1 do
+      b.data.(i) <- perm.(b.data.(i))
+    done
+end
+
+(* Rows this short are sorted by insertion; longer ones by [Array.sort]. *)
+let insertion_cutoff = 24
+
 (* Sort + dedup each adjacency array in place, returning the half-sum of the
-   final degrees (= m).  Shared finishing step of every constructor. *)
+   final degrees (= m).  Shared finishing step of the unsorted builds. *)
 let sort_dedup_adj adj =
   let deg_sum = ref 0 in
   for v = 0 to Array.length adj - 1 do
     let a = adj.(v) in
     let len = Array.length a in
     if len > 0 then begin
-      Array.sort (fun (x : int) y -> compare x y) a;
+      if len <= insertion_cutoff then
+        for i = 1 to len - 1 do
+          let x = a.(i) in
+          let j = ref (i - 1) in
+          while !j >= 0 && a.(!j) > x do
+            a.(!j + 1) <- a.(!j);
+            decr j
+          done;
+          a.(!j + 1) <- x
+        done
+      else Array.sort (fun (x : int) y -> compare x y) a;
       let k = ref 1 in
       for i = 1 to len - 1 do
         if a.(i) <> a.(!k - 1) then begin
@@ -29,46 +65,77 @@ let sort_dedup_adj adj =
   done;
   !deg_sum / 2
 
-(* Streaming build: force the sequence exactly once, buffering endpoints in a
-   growable flat int array (two slots per edge, no list cells), then the usual
-   exact-size count-then-fill into per-vertex adjacency arrays. *)
-let of_edge_seq ~n seq =
+(* Exact-size count-then-fill of the per-vertex rows from the degrees
+   [deg]; self-loops are skipped. *)
+let fill_rows ~n deg (b : Edge_buf.t) =
+  let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
+  let fill = Array.make n 0 in
+  let data = b.data in
+  for i = 0 to b.len - 1 do
+    let u = data.(2 * i) and v = data.((2 * i) + 1) in
+    if u <> v then begin
+      adj.(u).(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1;
+      adj.(v).(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1
+    end
+  done;
+  adj
+
+let of_buf ~n (b : Edge_buf.t) =
   let deg = Array.make n 0 in
-  let buf = ref (Array.make 4096 0) in
-  let len = ref 0 in
+  let data = b.data in
+  for i = 0 to b.len - 1 do
+    let u = data.(2 * i) and v = data.((2 * i) + 1) in
+    check_vertex n u;
+    check_vertex n v;
+    if u <> v then begin
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1
+    end
+  done;
+  let adj = fill_rows ~n deg b in
+  let m = sort_dedup_adj adj in
+  { n; adj; m }
+
+(* Pairs strictly increasing in lexicographic order with u < v fill every
+   row in increasing order: vertex x first receives its lower neighbours
+   (from the rows before x, in order), then its higher ones.  So the rows
+   come out sorted and duplicate-free with no sort pass. *)
+let of_sorted_buf ~n (b : Edge_buf.t) =
+  let deg = Array.make n 0 in
+  let data = b.data in
+  let pu = ref (-1) and pv = ref (-1) in
+  for i = 0 to b.len - 1 do
+    let u = data.(2 * i) and v = data.((2 * i) + 1) in
+    check_vertex n u;
+    check_vertex n v;
+    if u >= v || u < !pu || (u = !pu && v <= !pv) then
+      invalid_arg
+        (Printf.sprintf "Graph.of_sorted_buf: edge (%d,%d) after (%d,%d) breaks the order" u v !pu !pv);
+    pu := u;
+    pv := v;
+    deg.(u) <- deg.(u) + 1;
+    deg.(v) <- deg.(v) + 1
+  done;
+  { n; adj = fill_rows ~n deg b; m = b.len }
+
+let of_edges ~n edges =
+  let b = Edge_buf.create (List.length edges) in
+  List.iter (fun (u, v) -> Edge_buf.add b u v) edges;
+  of_buf ~n b
+
+(* Endpoints are checked as the sequence is forced, so a parser feeding it
+   fails at the first bad edge, before reading further. *)
+let of_edge_seq ~n seq =
+  let b = Edge_buf.create 512 in
   Seq.iter
     (fun (u, v) ->
       check_vertex n u;
       check_vertex n v;
-      if u <> v then begin
-        if !len + 2 > Array.length !buf then begin
-          let grown = Array.make (2 * Array.length !buf) 0 in
-          Array.blit !buf 0 grown 0 !len;
-          buf := grown
-        end;
-        !buf.(!len) <- u;
-        !buf.(!len + 1) <- v;
-        len := !len + 2;
-        deg.(u) <- deg.(u) + 1;
-        deg.(v) <- deg.(v) + 1
-      end)
+      Edge_buf.add b u v)
     seq;
-  let flat = !buf in
-  let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
-  let fill = Array.make n 0 in
-  let i = ref 0 in
-  while !i < !len do
-    let u = flat.(!i) and v = flat.(!i + 1) in
-    adj.(u).(fill.(u)) <- v;
-    fill.(u) <- fill.(u) + 1;
-    adj.(v).(fill.(v)) <- u;
-    fill.(v) <- fill.(v) + 1;
-    i := !i + 2
-  done;
-  let m = sort_dedup_adj adj in
-  { n; adj; m }
-
-let of_edges ~n edges = of_edge_seq ~n (List.to_seq edges)
+  of_buf ~n b
 
 let empty ~n = { n; adj = Array.make n [||]; m = 0 }
 
@@ -110,7 +177,11 @@ let mem_edge g u v =
 
 let iter_edges g f =
   for u = 0 to g.n - 1 do
-    Array.iter (fun v -> if u < v then f u v) g.adj.(u)
+    let a = g.adj.(u) in
+    for i = 0 to Array.length a - 1 do
+      let v = a.(i) in
+      if u < v then f u v
+    done
   done
 
 let fold_edges g ~init ~f =
@@ -170,18 +241,29 @@ let union g1 g2 =
   in
   { n = g1.n; adj; m = !deg_sum / 2 }
 
-let union_list ~n gs = of_edges ~n (List.concat_map edges gs)
+let union_list ~n gs =
+  let b = Edge_buf.create (List.fold_left (fun acc g -> acc + g.m) 0 gs) in
+  List.iter (fun g -> iter_edges g (Edge_buf.add b)) gs;
+  of_buf ~n b
+
+(* [iter_edges] yields the kept edges in lexicographic order, so the
+   filtered graph is built without a sort. *)
+let filter_edges g f =
+  let b = Edge_buf.create g.m in
+  iter_edges g (fun u v -> if f u v then Edge_buf.add b u v);
+  of_sorted_buf ~n:g.n b
 
 let induced g vs =
   let keep = Array.make g.n false in
   List.iter (fun v -> check_vertex g.n v; keep.(v) <- true) vs;
-  of_edges ~n:g.n (List.filter (fun (u, v) -> keep.(u) && keep.(v)) (edges g))
-
-let filter_edges g f = of_edges ~n:g.n (List.filter (fun (u, v) -> f u v) (edges g))
+  filter_edges g (fun u v -> keep.(u) && keep.(v))
 
 let relabel g perm =
   if Array.length perm <> g.n then invalid_arg "Graph.relabel: permutation size mismatch";
-  of_edges ~n:g.n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (edges g))
+  let b = Edge_buf.create g.m in
+  iter_edges g (Edge_buf.add b);
+  Edge_buf.relabel b perm;
+  of_buf ~n:g.n b
 
 let equal g1 g2 = g1.n = g2.n && g1.m = g2.m && g1.adj = g2.adj
 

@@ -20,10 +20,35 @@ val normalize_edge : int * int -> edge
 val of_edges : n:int -> (int * int) list -> t
 
 (** [of_edge_seq ~n seq] is {!of_edges} over a sequence, forced exactly once:
-    endpoints stream into a growable flat int buffer (no intermediate list
-    cells), so million-edge parsers feed the CSR build incrementally.
-    Semantics are identical to [of_edges ~n (List.of_seq seq)]. *)
+    endpoints stream into an {!Edge_buf} (no intermediate list cells), so
+    million-edge parsers feed the build incrementally, and an out-of-range
+    endpoint stops the forcing at that edge.  Semantics are identical to
+    [of_edges ~n (List.of_seq seq)]. *)
 val of_edge_seq : n:int -> (int * int) Seq.t -> t
+
+(** Growable flat buffer of edge endpoints, two ints per edge: the
+    array-native builders push into one and build the graph once. *)
+module Edge_buf : sig
+  type t
+
+  (** Empty buffer with room for about the given number of edges. *)
+  val create : int -> t
+
+  val add : t -> int -> int -> unit
+
+  (** [relabel b perm] renames every endpoint [x] to [perm.(x)], in place. *)
+  val relabel : t -> int array -> unit
+end
+
+(** {!of_edges} over the buffer's pairs, in push order. *)
+val of_buf : n:int -> Edge_buf.t -> t
+
+(** Build from pairs that are strictly increasing in lexicographic order
+    with [u < v] — the order {!iter_edges} yields.  Every row then fills in
+    sorted order, so no sort or dedup pass runs.
+    @raise Invalid_argument when a pair leaves the range or breaks the
+    order. *)
+val of_sorted_buf : n:int -> Edge_buf.t -> t
 
 val empty : n:int -> t
 

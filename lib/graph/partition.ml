@@ -21,33 +21,30 @@ let union (p : t) = Graph.union_list ~n:(n p) (Array.to_list p)
 
 let player (p : t) j = p.(j)
 
-let of_assignment ~n ~k assign =
-  let buckets = Array.make k [] in
-  List.iter (fun (j, e) -> buckets.(j) <- e :: buckets.(j)) assign;
-  Array.map (fun es -> Graph.of_edges ~n es) buckets
+(* The one partition pass.  [assign push u v] names each player [j]
+   receiving edge (u, v) by calling [push j u v]; edges are visited in the
+   lexicographic order of {!Graph.iter_edges}, so every player's edges
+   arrive sorted and each player graph is built with no sort.  Randomized
+   partitioners draw per edge inside [assign], in that same order. *)
+let split ~k g assign =
+  let n = Graph.n g in
+  let bufs = Array.init k (fun _ -> Graph.Edge_buf.create ((Graph.m g / max 1 k) + 16)) in
+  let push j u v = Graph.Edge_buf.add bufs.(j) u v in
+  Graph.iter_edges g (assign push);
+  Array.map (Graph.of_sorted_buf ~n) bufs
 
 (** Each edge goes to exactly one uniformly random player. *)
-let disjoint_random rng ~k g =
-  let n = Graph.n g in
-  of_assignment ~n ~k (List.map (fun e -> (Rng.int rng k, e)) (Graph.edges g))
+let disjoint_random rng ~k g = split ~k g (fun push u v -> push (Rng.int rng k) u v)
 
 (** Each edge goes to one uniform owner, and additionally to every other
     player independently with probability [dup_p] — the duplication regime. *)
 let with_duplication rng ~k ~dup_p g =
-  let n = Graph.n g in
-  let assign =
-    List.concat_map
-      (fun e ->
-        let owner = Rng.int rng k in
-        let copies =
-          List.filter_map
-            (fun j -> if j <> owner && Rng.bool rng ~p:dup_p then Some (j, e) else None)
-            (List.init k (fun j -> j))
-        in
-        (owner, e) :: copies)
-      (Graph.edges g)
-  in
-  of_assignment ~n ~k assign
+  split ~k g (fun push u v ->
+      let owner = Rng.int rng k in
+      push owner u v;
+      for j = 0 to k - 1 do
+        if j <> owner && Rng.bool rng ~p:dup_p then push j u v
+      done)
 
 (** Every player receives the whole graph: worst-case duplication. *)
 let replicate ~k g = Array.init k (fun _ -> g)
@@ -55,23 +52,14 @@ let replicate ~k g = Array.init k (fun _ -> g)
 (** Edge (u, v) assigned to the player owning its lower endpoint (hashed):
     a locality-flavoured partition (closest to CONGEST-style inputs). *)
 let by_endpoint_hash rng ~k g =
-  let n = Graph.n g in
   let salt = Rng.int rng 1_000_000_007 in
-  let owner v = (v + salt) mod k in
-  of_assignment ~n ~k (List.map (fun (u, v) -> (owner u, (u, v))) (Graph.edges g))
+  split ~k g (fun push u v -> push ((u + salt) mod k) u v)
 
 (** Player 0 receives each edge with probability [bias]; the rest is spread
     uniformly — exercises the "irrelevant player" analysis of §3.4.3. *)
 let skewed rng ~k ~bias g =
-  let n = Graph.n g in
-  let assign =
-    List.map
-      (fun e ->
-        if Rng.bool rng ~p:bias then (0, e)
-        else ((1 + Rng.int rng (max 1 (k - 1))), e))
-      (Graph.edges g)
-  in
-  of_assignment ~n ~k assign
+  split ~k g (fun push u v ->
+      push (if Rng.bool rng ~p:bias then 0 else 1 + Rng.int rng (max 1 (k - 1))) u v)
 
 let all_to_one ~k g =
   Array.init k (fun j -> if j = 0 then g else Graph.empty ~n:(Graph.n g))

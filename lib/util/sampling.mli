@@ -1,7 +1,11 @@
 (** Sampling primitives shared by the protocols and the generators. *)
 
-(** Sorted indices in [0, n), each selected independently with probability
-    [p]; runs in time proportional to the output via geometric skips. *)
+(** Calls the function on each index in [0, n), in increasing order,
+    selected independently with probability [p]; runs in time proportional
+    to the output via geometric skips. *)
+val bernoulli_iter : Rng.t -> int -> p:float -> (int -> unit) -> unit
+
+(** The indices {!bernoulli_iter} selects, as a sorted list (same draws). *)
 val bernoulli_subset : Rng.t -> int -> p:float -> int list
 
 (** [m] distinct uniform indices from [0, n), sorted (Floyd's algorithm).

@@ -115,7 +115,20 @@ let test_snapshot_fails_closed () =
     Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor 1));
     rejected (Printf.sprintf "bit flip at byte %d" byte) (fun () -> Snapshot.decode (Bytes.to_string b))
   done;
-  rejected "trailing bytes" (fun () -> Snapshot.decode (image ^ "\x00"))
+  rejected "trailing bytes" (fun () -> Snapshot.decode (image ^ "\x00"));
+  (* hand-built images with an honest checksum, so the body checks must fire *)
+  let sealed body =
+    let ck = ref 0 in
+    String.iter (fun c -> ck := !ck + Char.code c) body;
+    Snapshot.magic ^ body ^ String.init 2 (fun i -> Char.chr ((!ck lsr (8 * i)) land 0xff))
+  in
+  (* n=5, m=2^40: far more edges than the two-byte body can hold *)
+  rejected "declared m beyond the body" (fun () ->
+      Snapshot.decode (sealed "\x01\x05\x80\x80\x80\x80\x80\x20\x01\x00"));
+  (* n=5, m=2: (1,2), then a nine-byte varint reaching the sign bit (du = -1) *)
+  rejected "negative delta" (fun () ->
+      Snapshot.decode
+        (sealed ("\x01\x05\x02\x02\x00" ^ String.make 8 '\xff' ^ "\x7f\x00")))
 
 (* -------------------------------------------------------------- of_edge_seq *)
 

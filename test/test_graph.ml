@@ -195,7 +195,12 @@ let test_distance_zero_on_free () =
 
 let test_distance_k4 () =
   (* K4: one removal leaves two triangles sharing edges; 2 removals needed. *)
-  checki "K4 needs 2 removals" 2 (Distance.removal_upper_bound (Gen.complete ~n:4))
+  checki "K4 needs 2 removals" 2 (Distance.removal_upper_bound (Gen.complete ~n:4));
+  (* every edge of K4 is in two triangles: the tie goes to (0,1), which
+     leaves (2,3) alone in two *)
+  Alcotest.(check (list (pair int int)))
+    "ties break lexicographically" [ (0, 1); (2, 3) ]
+    (Distance.greedy_removal_set (Gen.complete ~n:4))
 
 let test_distance_certified_far_planted () =
   let rng = Rng.create 10 in
@@ -286,8 +291,8 @@ let test_gen_embed_preserves () =
 
 let test_gen_tripartite_planted_disjoint_bound () =
   let rng = Rng.create 22 in
-  let edges, disjoint = Gen.tripartite_planted rng ~n_part:40 ~rounds:3 0 in
-  let g = Graph.of_edges ~n:120 edges in
+  let g, disjoint = Gen.tripartite_planted rng ~n_part:40 ~rounds:3 0 in
+  checki "three parts" 120 (Graph.n g);
   checkb "claimed bound holds" true (List.length (Triangle.greedy_packing g) >= disjoint - 1);
   checkb "bound positive" true (disjoint > 0)
 
@@ -492,6 +497,10 @@ let qcheck_props =
         List.length (Triangle.greedy_packing g) <= Triangle.count g);
     Test.make ~name:"packing lb <= greedy ub" ~count:50 arb_graph (fun g ->
         Distance.removal_lower_bound g <= Distance.removal_upper_bound g);
+    Test.make ~name:"greedy removal set leaves the graph triangle-free" ~count:100 arb_graph (fun g ->
+        let removed = Distance.greedy_removal_set g in
+        List.for_all (fun (u, v) -> Graph.mem_edge g u v) removed
+        && Triangle.is_free (Graph.filter_edges g (fun u v -> not (List.mem (u, v) removed))));
     Test.make ~name:"triangle edges subset of edges" ~count:100 arb_graph (fun g ->
         List.for_all (fun (u, v) -> Graph.mem_edge g u v) (Triangle.triangle_edges g));
     Test.make ~name:"free graphs have no triangle edges" ~count:100 arb_graph (fun g ->

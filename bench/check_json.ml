@@ -254,6 +254,14 @@ let () =
     if limit <= 0.0 then fail "micro/serve-minor-words-per-query: non-positive limit";
     if v2 > limit then
       fail "micro/serve-minor-words-per-query: %g minor words/query over the %g budget" v2 limit;
+    (* The cache-miss row (bench/micro_miss.ml): minor words per
+       build + partition + run over the build-churn mix, inside its budget. *)
+    let miss = wire_row "micro/miss-minor-words-per-query" in
+    let words = float_field miss "words" and limit = float_field miss "limit" in
+    if limit <= 0.0 || float_field miss "queries" <= 0.0 then
+      fail "micro/miss-minor-words-per-query: non-positive limit or query count";
+    if words > limit then
+      fail "micro/miss-minor-words-per-query: %g minor words/query over the %g budget" words limit;
     (* The dataset rows (bench/dataset_bench.ml) witness the reasons
        lib/dataset exists: the snapshot loads faster than regenerating or
        re-parsing the corpus, and is the smaller on-disk encoding. *)

@@ -295,6 +295,10 @@ let run_json () =
   Option.iter Micro_wire.print_table wire;
   let dataset = if opts.only = [] then Some (measure_dataset ()) else None in
   Option.iter Dataset_bench.print_table dataset;
+  (* The cache-miss allocation row (bench/micro_miss.ml): a count, not a
+     timing, so it is the same at every scale. *)
+  let miss = if opts.only = [] then Some (Micro_miss.measure ()) else None in
+  Option.iter Micro_miss.print miss;
   (* The congest threshold/accounting rows (lib/experiments/congest_threshold.ml):
      seeded, wall-clock-free, so the document stays byte-stable. *)
   let congest = if opts.only = [] then Tfree_experiments.Congest_threshold.bench_rows () else [] in
@@ -336,6 +340,7 @@ let run_json () =
                micro
             @ (match wire with Some w -> Micro_wire.to_rows w | None -> [])
             @ (match dataset with Some d -> Dataset_bench.to_rows d | None -> [])
+            @ (match miss with Some w -> [ Micro_miss.to_row w ] | None -> [])
             @ congest) );
       ])
   in
@@ -356,7 +361,8 @@ let () =
     if opts.only = [] then begin
       print_micro (measure_micro ());
       Micro_wire.print_table (measure_wire ());
-      Dataset_bench.print_table (measure_dataset ())
+      Dataset_bench.print_table (measure_dataset ());
+      Micro_miss.print (Micro_miss.measure ())
     end;
     print_endline "done."
   end

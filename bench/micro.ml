@@ -1,8 +1,10 @@
-(* Standalone wire-codec micro-benchmark gate, behind the @micro-smoke
-   alias: run {!Micro_wire} at the requested iteration count, print the
-   v1-vs-v2 table, and exit nonzero unless binary v2 beats JSON v1 on
-   framed and payload bytes/query and on encode and decode ns/query, and
-   the v2 round trip stays inside its minor-words allocation budget.
+(* Standalone micro-benchmark gates, behind the @micro-smoke alias: run
+   {!Micro_wire} at the requested iteration count, print the v1-vs-v2
+   table, and exit nonzero unless binary v2 beats JSON v1 on framed and
+   payload bytes/query and on encode and decode ns/query, and the v2 round
+   trip stays inside its minor-words allocation budget; then measure the
+   cache-miss path ({!Micro_miss}) and exit nonzero when it allocates past
+   its budget.
 
      (default)   full iteration count, for quoting numbers
      --smoke     reduced iterations; what CI runs on every push
@@ -32,8 +34,11 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let r = Micro_wire.measure ~iters:!iters in
   Micro_wire.print_table r;
-  match Micro_wire.check r with
-  | Ok () -> print_endline "micro: ok (v2 beats v1 on bytes and time; zero-alloc budget held)"
-  | Error violations ->
+  let miss = Micro_miss.measure () in
+  Micro_miss.print miss;
+  let errors = function Ok () -> [] | Error v -> v in
+  match errors (Micro_wire.check r) @ errors (Micro_miss.check miss) with
+  | [] -> print_endline "micro: ok (v2 beats v1 on bytes and time; zero-alloc and miss-path budgets held)"
+  | violations ->
       List.iter (fun v -> prerr_endline ("micro: GATE FAILED: " ^ v)) violations;
       exit 1

@@ -14,6 +14,12 @@ type ctx = { k : int; n : int; shared : Rng.t }
     and the referee. *)
 let shared_rng ctx ~key = Rng.split ctx.shared key
 
+(* Every message's edges pushed straight into one buffer, built once. *)
+let edge_union ~n messages =
+  let b = Graph.Edge_buf.create 64 in
+  Array.iter (fun msg -> List.iter (fun (u, v) -> Graph.Edge_buf.add b u v) (Msg.get_edges msg)) messages;
+  Graph.of_buf ~n b
+
 type 'r protocol = {
   player : ctx -> int -> Graph.t -> Msg.t;
   referee : ctx -> Msg.t array -> 'r;

@@ -11,6 +11,10 @@ type ctx = { k : int; n : int; shared : Tfree_util.Rng.t }
     and the referee. *)
 val shared_rng : ctx -> key:int -> Tfree_util.Rng.t
 
+(** The referee's union: the graph of every edge in the given edge-list
+    messages ({!Msg.edges}), in one build. *)
+val edge_union : n:int -> Msg.t array -> Graph.t
+
 type 'r protocol = {
   player : ctx -> int -> Graph.t -> Msg.t;  (** player index, private input *)
   referee : ctx -> Msg.t array -> 'r;

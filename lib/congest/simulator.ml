@@ -112,7 +112,9 @@ let run ?halt ?tap g ~b_bits ~rounds ~seed alg =
   let n = Graph.n g in
   let root = Rng.create seed in
   let rngs = Array.init n (fun v -> Rng.split root (v + 1)) in
-  let states = Array.init n (fun v -> alg.init ~n v (Graph.neighbors g v)) in
+  (* Each node's row is copied once per run, not once per round. *)
+  let rows = Array.init n (Graph.neighbors g) in
+  let states = Array.init n (fun v -> alg.init ~n v rows.(v)) in
   let inboxes : (int * Tfree_comm.Msg.t) list array = Array.make n [] in
   let total = ref 0 and max_bits = ref 0 and messages = ref 0 in
   let round_acc = ref [] in
@@ -126,7 +128,7 @@ let run ?halt ?tap g ~b_bits ~rounds ~seed alg =
       for v = 0 to n - 1 do
         let st, outbox =
           alg.round ~n ~round:r v states.(v) ~rng:rngs.(v) ~inbox:inboxes.(v)
-            ~neighbors:(Graph.neighbors g v)
+            ~neighbors:rows.(v)
         in
         states.(v) <- st;
         List.iter

@@ -33,12 +33,12 @@ let random_incident_edge rt ~key v =
   let rng = Runtime.shared_rng rt ~key in
   let n = Runtime.n rt in
   let best_of input =
-    Array.fold_left
-      (fun acc u ->
-        match acc with
-        | Some b when priority rng b <= priority rng u -> acc
-        | _ -> Some u)
-      None (Graph.neighbors input v)
+    let best = ref None in
+    Graph.iter_neighbors input v (fun u ->
+        match !best with
+        | Some b when priority rng b <= priority rng u -> ()
+        | _ -> best := Some u);
+    !best
   in
   let replies = Runtime.ask_all rt ~req:(Msg.vertex ~n v) (fun _ input -> Msg.vertex_opt ~n (best_of input)) in
   let winner =

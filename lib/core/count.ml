@@ -25,7 +25,7 @@ let collect_neighbors rt ~key:_ u =
           (fun prev -> List.iter (fun w -> Hashtbl.replace already w ()) (Msg.get_vertices prev))
           visible;
         Msg.vertices ~n
-          (List.filter (fun w -> not (Hashtbl.mem already w)) (Array.to_list (Graph.neighbors input u))))
+          (List.filter (fun w -> not (Hashtbl.mem already w)) (Graph.neighbor_list input u)))
   in
   let tbl = Hashtbl.create 32 in
   Array.iter (fun r -> List.iter (fun w -> Hashtbl.replace tbl w ()) (Msg.get_vertices r)) replies;
@@ -39,7 +39,7 @@ let is_triangle_edge rt ~key (u, v) =
   let mark = Array.make n false in
   List.iter (fun w -> if w <> v then mark.(w) <- true) nu;
   Runtime.any_player rt (fun input ->
-      Array.exists (fun w -> w <> u && mark.(w)) (Graph.neighbors input v))
+      Graph.exists_neighbor input v (fun w -> w <> u && mark.(w)))
 
 type estimate = {
   sampled : int;  (** edges actually sampled (0 on an empty graph) *)

@@ -138,8 +138,7 @@ let approx_distinct_nodup rt ~key:_ ~alpha ~elements =
 
 (** α-approximate deg(v) under duplication (Theorem 3.1 specialized). *)
 let approx_degree rt ~key ~alpha ~tau ~boost v =
-  approx_distinct rt ~key ~alpha ~tau ~boost ~elements:(fun input ->
-      Array.to_list (Graph.neighbors input v))
+  approx_distinct rt ~key ~alpha ~tau ~boost ~elements:(fun input -> Graph.neighbor_list input v)
 
 (** α-approximate total edge count m (for the degree-oblivious driver,
     Corollary 3.22). *)

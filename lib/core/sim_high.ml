@@ -23,27 +23,20 @@ let edge_cap (p : Params.t) ~n ~d ~s =
   let l = 4.0 *. float_of_int (s * s) *. Float.max 1.0 d /. (p.delta *. float_of_int n) in
   max 8 (int_of_float (Float.ceil l))
 
-(* Shared membership test for S: a keyed Bernoulli mark per vertex with
-   probability s/n reproduces a uniform sample of expected size s while
-   letting players test membership without materializing S. *)
-let in_sample rng ~n ~s v = Rng.hash_float rng v < float_of_int s /. float_of_int n
+(* Membership in S: a keyed Bernoulli mark per vertex with probability s/n
+   reproduces a uniform sample of expected size s while letting players
+   test membership without materializing S. *)
+let in_sample_p ~n ~s = float_of_int s /. float_of_int n
 
 let player_message (p : Params.t) ~d ~capped ctx _j input =
   let n = ctx.Simultaneous.n in
   let s = sample_size p ~n ~d in
-  let rng = Simultaneous.shared_rng ctx ~key:11 in
+  let marks = Shared_sample.create ~n in
+  Rng.hash_bool_bits (Simultaneous.shared_rng ctx ~key:11) ~p:(in_sample_p ~n ~s) marks ~bit:0;
   let cap = if capped then edge_cap p ~n ~d ~s else max_int in
-  let selected =
-    Graph.fold_edges input ~init:[] ~f:(fun acc u v ->
-        if in_sample rng ~n ~s u && in_sample rng ~n ~s v then (u, v) :: acc else acc)
-  in
-  let truncated = List.filteri (fun idx _ -> idx < cap) selected in
-  Msg.edges ~n truncated
+  Msg.edges ~n (Shared_sample.edges input marks ~mask:1 ~need:0 ~cap)
 
-let referee ctx messages =
-  let n = ctx.Simultaneous.n in
-  let union = Graph.of_edges ~n (List.concat_map Msg.get_edges (Array.to_list messages)) in
-  Triangle.find union
+let referee ctx messages = Triangle.find (Simultaneous.edge_union ~n:ctx.Simultaneous.n messages)
 
 (** The protocol, for average degree [d] known to the players. *)
 let protocol ?(capped = true) (p : Params.t) ~d =

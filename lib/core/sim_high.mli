@@ -12,6 +12,9 @@ val sample_size : Params.t -> n:int -> d:float -> int
 (** Per-player edge cap l = 4·|S|²·d/(δ·n) (Algorithm 7 step 2). *)
 val edge_cap : Params.t -> n:int -> d:float -> s:int -> int
 
+(** The probability s/n of each vertex's shared mark for S. *)
+val in_sample_p : n:int -> s:int -> float
+
 val protocol : ?capped:bool -> Params.t -> d:float -> Triangle.triangle option Simultaneous.protocol
 
 val run :

@@ -24,21 +24,22 @@ let edge_cap (p : Params.t) ~n ~d =
   let q = 2.0 *. c *. c *. (sqrt (float_of_int n) +. Float.max 1.0 d) *. 2.0 /. p.delta in
   max 8 (int_of_float (Float.ceil q))
 
+(* Mark bits of R and S.  A player sends the edges with one endpoint in R
+   and the other in R ∪ S: both endpoints marked, and one of them in R. *)
+let r_bit = 0
+let s_bit = 1
+let wanted_mask = (1 lsl r_bit) lor (1 lsl s_bit)
+let wanted_need = 1 lsl r_bit
+
 let player_message (p : Params.t) ~d ~capped ctx _j input =
   let n = ctx.Simultaneous.n in
-  let rng_s = Simultaneous.shared_rng ctx ~key:21 in
-  let rng_r = Simultaneous.shared_rng ctx ~key:22 in
-  let in_s v = Rng.hash_float rng_s v < p1 p ~d in
-  let in_r v = Rng.hash_float rng_r v < p2 p ~n in
-  let wanted u v = (in_r u && (in_r v || in_s v)) || (in_r v && (in_r u || in_s u)) in
+  let marks = Shared_sample.create ~n in
+  Rng.hash_bool_bits (Simultaneous.shared_rng ctx ~key:22) ~p:(p2 p ~n) marks ~bit:r_bit;
+  Rng.hash_bool_bits (Simultaneous.shared_rng ctx ~key:21) ~p:(p1 p ~d) marks ~bit:s_bit;
   let cap = if capped then edge_cap p ~n ~d else max_int in
-  let selected = Graph.fold_edges input ~init:[] ~f:(fun acc u v -> if wanted u v then (u, v) :: acc else acc) in
-  Msg.edges ~n (List.filteri (fun idx _ -> idx < cap) selected)
+  Msg.edges ~n (Shared_sample.edges input marks ~mask:wanted_mask ~need:wanted_need ~cap)
 
-let referee ctx messages =
-  let n = ctx.Simultaneous.n in
-  let union = Graph.of_edges ~n (List.concat_map Msg.get_edges (Array.to_list messages)) in
-  Triangle.find union
+let referee ctx messages = Triangle.find (Simultaneous.edge_union ~n:ctx.Simultaneous.n messages)
 
 let protocol ?(capped = true) (p : Params.t) ~d =
   { Simultaneous.player = player_message p ~d ~capped; referee }

@@ -19,6 +19,13 @@ val p2 : Params.t -> n:int -> float
 (** Per-player edge cap q = 2c²(√n + d)·(2/δ) (Algorithm 8 step 3). *)
 val edge_cap : Params.t -> n:int -> d:float -> int
 
+(** Bits of the R and S marks in a {!Shared_sample} byte, and the
+    [~mask]/[~need] that select the edges a player sends. *)
+val r_bit : int
+val s_bit : int
+val wanted_mask : int
+val wanted_need : int
+
 val protocol : ?capped:bool -> Params.t -> d:float -> Triangle.triangle option Simultaneous.protocol
 
 val run :

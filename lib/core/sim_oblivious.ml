@@ -40,36 +40,26 @@ let cap_low (p : Params.t) ~k ~n =
     (int_of_float
        (Float.ceil (4.0 *. p.boost /. p.delta *. sqrt (float_of_int n) *. logn *. (1.0 +. logk))))
 
-(* Edges this player contributes to the instance with guess 2^t. *)
-let instance_edges (p : Params.t) ctx ~t ~d_bar input =
+(* Edges this player contributes to the instance with guess 2^t.  [marks]
+   is the player's mark buffer: its R bit (key 22, shared by every AlgLow
+   instance — the paper notes players can reuse the same R) is set once by
+   the caller; the S bit holds this guess's sample, AlgHigh's or AlgLow's,
+   and is re-marked here for each guess. *)
+let instance_edges (p : Params.t) ctx ~t ~cap_high ~cap_low ~marks input =
   let n = ctx.Simultaneous.n in
-  let k = ctx.Simultaneous.k in
   let d_guess = Float.pow 2.0 (float_of_int t) in
   if d_guess >= sqrt (float_of_int n) then begin
     (* AlgHigh sampling at guessed density, shared stream keyed by t. *)
     let s = Sim_high.sample_size p ~n ~d:d_guess in
     let rng = Simultaneous.shared_rng ctx ~key:(1000 + t) in
-    let in_s v = Rng.hash_float rng v < float_of_int s /. float_of_int n in
-    let selected =
-      Graph.fold_edges input ~init:[] ~f:(fun acc u v -> if in_s u && in_s v then (u, v) :: acc else acc)
-    in
-    List.filteri (fun idx _ -> idx < cap_high p ~k ~n d_bar) selected
+    Rng.hash_bool_bits rng ~p:(Sim_high.in_sample_p ~n ~s) marks ~bit:Sim_low.s_bit;
+    Shared_sample.edges input marks ~mask:(1 lsl Sim_low.s_bit) ~need:0 ~cap:cap_high
   end
   else begin
-    (* AlgLow sampling: S keyed by the guess, R shared across instances (the
-       paper notes players can reuse the same R). *)
-    let rng_s = Simultaneous.shared_rng ctx ~key:(2000 + t) in
-    let rng_r = Simultaneous.shared_rng ctx ~key:22 in
-    let c = Sim_low.c_const p in
-    let ps = Float.min 1.0 (c /. Float.max 1.0 d_guess) in
-    let pr = Float.min 1.0 (c /. sqrt (float_of_int n)) in
-    let in_s v = Rng.hash_float rng_s v < ps in
-    let in_r v = Rng.hash_float rng_r v < pr in
-    let wanted u v = (in_r u && (in_r v || in_s v)) || (in_r v && (in_r u || in_s u)) in
-    let selected =
-      Graph.fold_edges input ~init:[] ~f:(fun acc u v -> if wanted u v then (u, v) :: acc else acc)
-    in
-    List.filteri (fun idx _ -> idx < cap_low p ~k ~n) selected
+    (* AlgLow sampling: S keyed by the guess, R shared across instances. *)
+    let rng = Simultaneous.shared_rng ctx ~key:(2000 + t) in
+    Rng.hash_bool_bits rng ~p:(Sim_low.p1 p ~d:d_guess) marks ~bit:Sim_low.s_bit;
+    Shared_sample.edges input marks ~mask:Sim_low.wanted_mask ~need:Sim_low.wanted_need ~cap:cap_low
   end
 
 let player_message (p : Params.t) ctx _j input =
@@ -77,27 +67,35 @@ let player_message (p : Params.t) ctx _j input =
   let k = ctx.Simultaneous.k in
   let d_bar = observed_avg_degree ~n input in
   let guesses = if Graph.m input = 0 then [] else guess_range p ~k ~n d_bar in
+  let marks = Shared_sample.create ~n in
+  Rng.hash_bool_bits (Simultaneous.shared_rng ctx ~key:22) ~p:(Sim_low.p2 p ~n) marks ~bit:Sim_low.r_bit;
+  let cap_high = cap_high p ~k ~n d_bar and cap_low = cap_low p ~k ~n in
   let parts =
     List.concat_map
-      (fun t -> [ Msg.nat t; Msg.edges ~n (instance_edges p ctx ~t ~d_bar input) ])
+      (fun t -> [ Msg.nat t; Msg.edges ~n (instance_edges p ctx ~t ~cap_high ~cap_low ~marks input) ])
       guesses
   in
   Msg.tuple parts
 
 let referee ctx messages =
   let n = ctx.Simultaneous.n in
-  (* Group the received edge lists by guess exponent and test each union. *)
-  let by_guess : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
+  (* Group the received edges by guess exponent and test each union. *)
+  let by_guess : (int, Graph.Edge_buf.t) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (fun msg ->
       let rec pairs = function
         | [] -> ()
         | tag :: payload :: rest ->
             let t = Msg.get_int tag in
-            let es = Msg.get_edges payload in
-            (match Hashtbl.find_opt by_guess t with
-            | Some r -> r := es @ !r
-            | None -> Hashtbl.add by_guess t (ref es));
+            let b =
+              match Hashtbl.find_opt by_guess t with
+              | Some b -> b
+              | None ->
+                  let b = Graph.Edge_buf.create 64 in
+                  Hashtbl.add by_guess t b;
+                  b
+            in
+            List.iter (fun (u, v) -> Graph.Edge_buf.add b u v) (Msg.get_edges payload);
             pairs rest
         | [ _ ] -> invalid_arg "Sim_oblivious.referee: odd tuple"
       in
@@ -108,9 +106,7 @@ let referee ctx messages =
     (fun acc t ->
       match acc with
       | Some _ -> acc
-      | None ->
-          let es = !(Hashtbl.find by_guess t) in
-          Triangle.find (Graph.of_edges ~n es))
+      | None -> Triangle.find (Graph.of_buf ~n (Hashtbl.find by_guess t)))
     None
     (List.sort compare guesses)
 

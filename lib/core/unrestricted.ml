@@ -147,7 +147,7 @@ let sample_edges rt (p : Params.t) ~key v ~d_hat =
           (fun prev -> List.iter (fun u -> Hashtbl.replace already u ()) (Msg.get_vertices prev))
           visible;
         let sampled =
-          Array.to_list (Graph.neighbors input v)
+          Graph.neighbor_list input v
           |> List.filter (fun u -> marked u && not (Hashtbl.mem already u))
           |> List.filteri (fun idx _ -> idx < cap)
         in

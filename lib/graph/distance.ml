@@ -18,20 +18,23 @@ let removal_lower_bound g = List.length (Triangle.greedy_packing g)
 
 module Int_set = Set.Make (Int)
 
-(* Index of [x] in the sorted array [a], which holds it. *)
-let index_of a x =
+(* Position of [x] in the sorted range [a.(lo) .. a.(hi - 1)], which holds
+   it. *)
+let index_of (a : int array) lo hi x =
   let rec go lo hi =
     let mid = (lo + hi) / 2 in
     if a.(mid) = x then mid else if a.(mid) < x then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length a)
+  go lo hi
 
-(* Calls [f w] for every common neighbour [w] of [u] and [v]. *)
+(* Calls [f w] for every common neighbour [w] of [u] and [v], merging the
+   two CSR rows in place. *)
 let iter_common g u v f =
-  let a = Graph.neighbors g u and b = Graph.neighbors g v in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length a && !j < Array.length b do
-    let x = a.(!i) and y = b.(!j) in
+  let off = Graph.off g and nbr = Graph.nbr g in
+  let i = ref off.(u) and j = ref off.(v) in
+  let ie = off.(u + 1) and je = off.(v + 1) in
+  while !i < ie && !j < je do
+    let x = nbr.(!i) and y = nbr.(!j) in
     if x < y then incr i
     else if y < x then incr j
     else begin
@@ -47,16 +50,14 @@ let iter_common g u v f =
     triangles go, so no triangle is enumerated twice. *)
 let greedy_removal_set g =
   let n = Graph.n g in
-  (* Edge (u, v), u < v, is slot [off.(u) + index of v in u's row]; slot
-     order is lexicographic edge order. *)
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + Graph.degree g u
-  done;
+  (* Edge (u, v), u < v, is slot [off.(u) + index of v in u's row], i.e.
+     its position in the CSR neighbour array; slot order is lexicographic
+     edge order. *)
+  let off = Graph.off g and nbr = Graph.nbr g in
   let slots = max 1 off.(n) in
   let slot a b =
     let u = min a b and v = max a b in
-    off.(u) + index_of (Graph.neighbors g u) v
+    index_of nbr off.(u) off.(u + 1) v
   in
   let count = Array.make slots 0 and alive = Array.make slots true in
   let ends = Array.make slots (0, 0) in

@@ -1,4 +1,7 @@
-type t = { n : int; adj : int array array; m : int }
+(* Compressed sparse rows: the neighbours of [v] are
+   [nbr.(off.(v)) .. nbr.(off.(v + 1) - 1)], strictly increasing, and
+   [Array.length nbr = off.(n) = 2m]. *)
+type t = { n : int; off : int array; nbr : int array; m : int }
 
 type edge = int * int
 
@@ -33,54 +36,50 @@ end
 (* Rows this short are sorted by insertion; longer ones by [Array.sort]. *)
 let insertion_cutoff = 24
 
-(* Sort + dedup each adjacency array in place, returning the half-sum of the
-   final degrees (= m).  Shared finishing step of the unsorted builds. *)
-let sort_dedup_adj adj =
-  let deg_sum = ref 0 in
-  for v = 0 to Array.length adj - 1 do
-    let a = adj.(v) in
-    let len = Array.length a in
-    if len > 0 then begin
-      if len <= insertion_cutoff then
-        for i = 1 to len - 1 do
-          let x = a.(i) in
-          let j = ref (i - 1) in
-          while !j >= 0 && a.(!j) > x do
-            a.(!j + 1) <- a.(!j);
-            decr j
-          done;
-          a.(!j + 1) <- x
-        done
-      else Array.sort (fun (x : int) y -> compare x y) a;
-      let k = ref 1 in
-      for i = 1 to len - 1 do
-        if a.(i) <> a.(!k - 1) then begin
-          a.(!k) <- a.(i);
-          incr k
-        end
+(* Sort the row [nbr.(lo) .. nbr.(hi - 1)] in place. *)
+let sort_row nbr lo hi =
+  if hi - lo <= insertion_cutoff then
+    for i = lo + 1 to hi - 1 do
+      let x = nbr.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && nbr.(!j) > x do
+        nbr.(!j + 1) <- nbr.(!j);
+        decr j
       done;
-      if !k < len then adj.(v) <- Array.sub a 0 !k;
-      deg_sum := !deg_sum + !k
-    end
-  done;
-  !deg_sum / 2
+      nbr.(!j + 1) <- x
+    done
+  else begin
+    let a = Array.sub nbr lo (hi - lo) in
+    Array.sort (fun (x : int) y -> compare x y) a;
+    Array.blit a 0 nbr lo (hi - lo)
+  end
 
-(* Exact-size count-then-fill of the per-vertex rows from the degrees
-   [deg]; self-loops are skipped. *)
+(* Offsets from per-vertex degrees: [off.(v)] is where row [v] starts and
+   [off.(n)] the total length. *)
+let offsets_of_degrees ~n deg =
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + deg.(v)
+  done;
+  off
+
+(* Count-then-fill of the rows in push order; self-loops are skipped.  The
+   degree array is reused as the fill cursor. *)
 let fill_rows ~n deg (b : Edge_buf.t) =
-  let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
-  let fill = Array.make n 0 in
+  let off = offsets_of_degrees ~n deg in
+  let nbr = Array.make off.(n) 0 in
+  Array.blit off 0 deg 0 n;
   let data = b.data in
   for i = 0 to b.len - 1 do
     let u = data.(2 * i) and v = data.((2 * i) + 1) in
     if u <> v then begin
-      adj.(u).(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1;
-      adj.(v).(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1
+      nbr.(deg.(u)) <- v;
+      deg.(u) <- deg.(u) + 1;
+      nbr.(deg.(v)) <- u;
+      deg.(v) <- deg.(v) + 1
     end
   done;
-  adj
+  (off, nbr)
 
 let of_buf ~n (b : Edge_buf.t) =
   let deg = Array.make n 0 in
@@ -94,9 +93,28 @@ let of_buf ~n (b : Edge_buf.t) =
       deg.(v) <- deg.(v) + 1
     end
   done;
-  let adj = fill_rows ~n deg b in
-  let m = sort_dedup_adj adj in
-  { n; adj; m }
+  let off, nbr = fill_rows ~n deg b in
+  (* Sort each row, then drop repeats while compacting the rows leftwards:
+     the write cursor [w] never passes the read position. *)
+  let w = ref 0 and lo = ref 0 in
+  for v = 0 to n - 1 do
+    let hi = off.(v + 1) in
+    off.(v) <- !w;
+    sort_row nbr !lo hi;
+    let prev = ref (-1) in
+    for i = !lo to hi - 1 do
+      let x = nbr.(i) in
+      if x <> !prev then begin
+        nbr.(!w) <- x;
+        incr w;
+        prev := x
+      end
+    done;
+    lo := hi
+  done;
+  off.(n) <- !w;
+  let nbr = if !w < Array.length nbr then Array.sub nbr 0 !w else nbr in
+  { n; off; nbr; m = !w / 2 }
 
 (* Pairs strictly increasing in lexicographic order with u < v fill every
    row in increasing order: vertex x first receives its lower neighbours
@@ -118,7 +136,8 @@ let of_sorted_buf ~n (b : Edge_buf.t) =
     deg.(u) <- deg.(u) + 1;
     deg.(v) <- deg.(v) + 1
   done;
-  { n; adj = fill_rows ~n deg b; m = b.len }
+  let off, nbr = fill_rows ~n deg b in
+  { n; off; nbr; m = b.len }
 
 let of_edges ~n edges =
   let b = Edge_buf.create (List.length edges) in
@@ -137,7 +156,7 @@ let of_edge_seq ~n seq =
     seq;
   of_buf ~n b
 
-let empty ~n = { n; adj = Array.make n [||]; m = 0 }
+let empty ~n = { n; off = Array.make (n + 1) 0; nbr = [||]; m = 0 }
 
 let n g = g.n
 let m g = g.m
@@ -146,14 +165,39 @@ let avg_degree g = if g.n = 0 then 0.0 else 2.0 *. float_of_int g.m /. float_of_
 
 let degree g v =
   check_vertex g.n v;
-  Array.length g.adj.(v)
+  g.off.(v + 1) - g.off.(v)
+
+let off g = g.off
+let nbr g = g.nbr
 
 let neighbors g v =
   check_vertex g.n v;
-  g.adj.(v)
+  Array.sub g.nbr g.off.(v) (g.off.(v + 1) - g.off.(v))
 
-(* Binary search in a sorted adjacency array. *)
-let mem_sorted a x =
+let neighbor_list g v =
+  check_vertex g.n v;
+  let acc = ref [] in
+  for i = g.off.(v + 1) - 1 downto g.off.(v) do
+    acc := g.nbr.(i) :: !acc
+  done;
+  !acc
+
+let iter_neighbors g v f =
+  check_vertex g.n v;
+  for i = g.off.(v) to g.off.(v + 1) - 1 do
+    f g.nbr.(i)
+  done
+
+let exists_neighbor g v f =
+  check_vertex g.n v;
+  let hi = g.off.(v + 1) in
+  let rec go i = i < hi && (f g.nbr.(i) || go (i + 1)) in
+  go g.off.(v)
+
+(* Binary search for [x] in the sorted range [a.(lo) .. a.(hi - 1)].  The
+   annotation keeps the comparisons on ints: a polymorphic [a] would call
+   the generic compare at every probe. *)
+let mem_sorted (a : int array) lo hi x =
   let rec go lo hi =
     if lo >= hi then false
     else begin
@@ -162,84 +206,78 @@ let mem_sorted a x =
       if y = x then true else if y < x then go (mid + 1) hi else go lo mid
     end
   in
-  go 0 (Array.length a)
+  go lo hi
 
 (* Hot path for every referee and triangle kernel: bounds come from the array
    accesses themselves, and the probe goes straight to the shorter sorted
-   adjacency without separate [degree] calls. *)
+   row. *)
 let mem_edge g u v =
   if u = v then false
   else begin
-    let au = g.adj.(u) and av = g.adj.(v) in
-    let a, x = if Array.length au <= Array.length av then (au, v) else (av, u) in
-    mem_sorted a x
+    let off = g.off in
+    let lu = off.(u) and hu = off.(u + 1) and lv = off.(v) and hv = off.(v + 1) in
+    if hu - lu <= hv - lv then mem_sorted g.nbr lu hu v else mem_sorted g.nbr lv hv u
   end
 
 let iter_edges g f =
+  let off = g.off and nbr = g.nbr in
   for u = 0 to g.n - 1 do
-    let a = g.adj.(u) in
-    for i = 0 to Array.length a - 1 do
-      let v = a.(i) in
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = nbr.(i) in
       if u < v then f u v
     done
   done
 
+(* A local accumulator, not one captured by an [iter_edges] closure: the
+   update then needs no write barrier. *)
 let fold_edges g ~init ~f =
+  let off = g.off and nbr = g.nbr in
   let acc = ref init in
-  iter_edges g (fun u v -> acc := f !acc u v);
+  for u = 0 to g.n - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = nbr.(i) in
+      if u < v then acc := f !acc u v
+    done
+  done;
   !acc
 
-let edges g = List.rev (fold_edges g ~init:[] ~f:(fun acc u v -> (u, v) :: acc))
+(* Built back to front, so the list needs no reversal. *)
+let edges g =
+  let off = g.off and nbr = g.nbr in
+  let acc = ref [] in
+  for u = g.n - 1 downto 0 do
+    for i = off.(u + 1) - 1 downto off.(u) do
+      let v = nbr.(i) in
+      if u < v then acc := (u, v) :: !acc
+    done
+  done;
+  !acc
 
-(* Merge the sorted adjacency arrays directly instead of rebuilding from the
-   concatenated edge lists (no list materialization, no re-sort). *)
+(* Row-by-row linear merge of the two sorted CSRs into one (no edge list,
+   no re-sort); shared neighbours are written once. *)
 let union g1 g2 =
   if g1.n <> g2.n then invalid_arg "Graph.union: vertex counts differ";
-  let merge a b =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 then b
-    else if lb = 0 then a
-    else begin
-      let out = Array.make (la + lb) 0 in
-      let i = ref 0 and j = ref 0 and k = ref 0 in
-      while !i < la && !j < lb do
-        let x = a.(!i) and y = b.(!j) in
-        if x < y then begin
-          out.(!k) <- x;
-          incr i
-        end
-        else if y < x then begin
-          out.(!k) <- y;
-          incr j
-        end
-        else begin
-          out.(!k) <- x;
-          incr i;
-          incr j
-        end;
-        incr k
-      done;
-      while !i < la do
-        out.(!k) <- a.(!i);
-        incr i;
-        incr k
-      done;
-      while !j < lb do
-        out.(!k) <- b.(!j);
-        incr j;
-        incr k
-      done;
-      if !k < la + lb then Array.sub out 0 !k else out
-    end
-  in
-  let deg_sum = ref 0 in
-  let adj =
-    Array.init g1.n (fun v ->
-        let a = merge g1.adj.(v) g2.adj.(v) in
-        deg_sum := !deg_sum + Array.length a;
-        a)
-  in
-  { n = g1.n; adj; m = !deg_sum / 2 }
+  let n = g1.n in
+  let a = g1.nbr and b = g2.nbr in
+  let out = Array.make (Array.length a + Array.length b) 0 in
+  let off = Array.make (n + 1) 0 in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    off.(v) <- !k;
+    let i = ref g1.off.(v) and j = ref g2.off.(v) in
+    let ia = g1.off.(v + 1) and jb = g2.off.(v + 1) in
+    while !i < ia || !j < jb do
+      (* take the smaller head; on a tie advance both *)
+      let x = if !i < ia then a.(!i) else max_int and y = if !j < jb then b.(!j) else max_int in
+      if x <= y then incr i;
+      if y <= x then incr j;
+      out.(!k) <- (if x <= y then x else y);
+      incr k
+    done
+  done;
+  off.(n) <- !k;
+  let nbr = if !k < Array.length out then Array.sub out 0 !k else out in
+  { n; off; nbr; m = !k / 2 }
 
 let union_list ~n gs =
   let b = Edge_buf.create (List.fold_left (fun acc g -> acc + g.m) 0 gs) in
@@ -265,7 +303,7 @@ let relabel g perm =
   Edge_buf.relabel b perm;
   of_buf ~n:g.n b
 
-let equal g1 g2 = g1.n = g2.n && g1.m = g2.m && g1.adj = g2.adj
+let equal g1 g2 = g1.n = g2.n && g1.m = g2.m && g1.off = g2.off && g1.nbr = g2.nbr
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph n=%d m=%d@," g.n g.m;

@@ -1,12 +1,18 @@
 (** Undirected simple graphs on vertices [0 .. n-1], the common substrate for
     the whole reproduction.
 
-    The representation is immutable after construction: sorted adjacency
-    arrays, giving O(log deg) edge membership, O(1) degree queries and cheap
-    set intersections (the triangle algorithms rely on all three).  A player's
-    private input in the communication protocols is itself a [t] on the same
-    vertex set, so every local operation a player performs is a plain graph
-    operation. *)
+    The representation is immutable after construction and is one flat
+    compressed-sparse-row (CSR) adjacency: an offset array [off] of length
+    [n + 1] and one neighbour array [nbr] of length [2m], where the
+    neighbours of [v] are [nbr.(off.(v)) .. nbr.(off.(v + 1) - 1)] in
+    strictly increasing order.  A graph is therefore two allocations
+    whatever its size, with O(log deg) edge membership, O(1) degree queries
+    and cheap set intersections (the triangle algorithms rely on all
+    three).  Hot readers walk the rows in place through {!off} and {!nbr};
+    {!neighbors} copies a row and is for cold code only.  A player's
+    private input in the communication protocols is itself a [t] on the
+    same vertex set, so every local operation a player performs is a plain
+    graph operation. *)
 
 type t
 
@@ -63,11 +69,31 @@ val avg_degree : t -> float
 
 val degree : t -> int -> int
 
-(** Sorted array of neighbours; physically shared, do not mutate. *)
+(** The CSR offsets, length [n + 1]: row [v] spans
+    [off.(v) .. off.(v + 1) - 1] of {!nbr}.  Physically shared, zero-copy;
+    do not mutate. *)
+val off : t -> int array
+
+(** The CSR neighbour array, length [2m]: all rows back to back, each
+    strictly increasing.  Physically shared, zero-copy; do not mutate. *)
+val nbr : t -> int array
+
+(** A fresh sorted copy of [v]'s row.  It allocates on every call, so hot
+    loops read {!off}/{!nbr} (or {!iter_neighbors}) instead. *)
 val neighbors : t -> int -> int array
 
-(** O(log min-degree) membership probe of the shorter sorted adjacency;
-    both vertices must be in range. *)
+(** [v]'s row as a sorted list, built straight from the CSR. *)
+val neighbor_list : t -> int -> int list
+
+(** [f] on each neighbour of [v], in increasing order, without copying. *)
+val iter_neighbors : t -> int -> (int -> unit) -> unit
+
+(** Does some neighbour of [v] satisfy [f]?  Stops at the first one, in
+    increasing order, without copying. *)
+val exists_neighbor : t -> int -> (int -> bool) -> bool
+
+(** O(log min-degree) membership probe of the shorter sorted row; both
+    vertices must be in range. *)
 val mem_edge : t -> int -> int -> bool
 
 (** All edges, each once, normalized, in lexicographic order. *)
@@ -77,8 +103,8 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 
 val fold_edges : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
-(** Union of edge sets (same [n] required); linear merge of the sorted
-    adjacency arrays. *)
+(** Union of edge sets (same [n] required); row-by-row linear merge of
+    the two CSRs. *)
 val union : t -> t -> t
 
 val union_list : n:int -> t list -> t

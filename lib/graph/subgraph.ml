@@ -65,7 +65,7 @@ let find g p =
       in
       let candidates =
         match anchored with
-        | Some gu -> Array.to_list (Graph.neighbors g gu)
+        | Some gu -> Graph.neighbor_list g gu
         | None -> List.init n (fun v -> v)
       in
       List.exists

@@ -12,13 +12,12 @@ let bfs g src =
   let rec drain () =
     if not (Queue.is_empty q) then begin
       let v = Queue.pop q in
-      Array.iter
+      Graph.iter_neighbors g v
         (fun u ->
           if dist.(u) < 0 then begin
             dist.(u) <- dist.(v) + 1;
             Queue.add u q
-          end)
-        (Graph.neighbors g v);
+          end);
       drain ()
     end
   in
@@ -40,13 +39,12 @@ let components g =
       let rec drain () =
         if not (Queue.is_empty q) then begin
           let x = Queue.pop q in
-          Array.iter
+          Graph.iter_neighbors g x
             (fun u ->
               if label.(u) < 0 then begin
                 label.(u) <- c;
                 Queue.add u q
-              end)
-            (Graph.neighbors g x);
+              end);
           drain ()
         end
       in
@@ -72,14 +70,13 @@ let two_color g =
       let rec drain () =
         if !ok && not (Queue.is_empty q) then begin
           let x = Queue.pop q in
-          Array.iter
+          Graph.iter_neighbors g x
             (fun u ->
               if color.(u) < 0 then begin
                 color.(u) <- 1 - color.(x);
                 Queue.add u q
               end
-              else if color.(u) = color.(x) then ok := false)
-            (Graph.neighbors g x);
+              else if color.(u) = color.(x) then ok := false);
           drain ()
         end
       in
@@ -109,7 +106,7 @@ let odd_cycle g =
           let rec drain () =
             if !result = None && not (Queue.is_empty q) then begin
               let v = Queue.pop q in
-              Array.iter
+              Graph.iter_neighbors g v
                 (fun u ->
                   if !result = None then begin
                     if depth.(u) < 0 then begin
@@ -129,8 +126,7 @@ let odd_cycle g =
                       let pv, pu = trim pv pu in
                       result := Some (List.rev_append pv (List.tl pu))
                     end
-                  end)
-                (Graph.neighbors g v);
+                  end);
               drain ()
             end
           in

@@ -21,15 +21,15 @@ let is_triangle g (a, b, c) =
    degrees — O(n + max degree), no comparison sort — filled in vertex-id order
    so it is stable, i.e. identical to sorting by (degree, id). *)
 let degree_order g =
-  let n = Graph.n g in
+  let n = Graph.n g and off = Graph.off g in
   let maxd = ref 0 in
   for v = 0 to n - 1 do
-    let d = Graph.degree g v in
+    let d = off.(v + 1) - off.(v) in
     if d > !maxd then maxd := d
   done;
   let start = Array.make (!maxd + 1) 0 in
   for v = 0 to n - 1 do
-    let d = Graph.degree g v in
+    let d = off.(v + 1) - off.(v) in
     start.(d) <- start.(d) + 1
   done;
   let acc = ref 0 in
@@ -40,45 +40,40 @@ let degree_order g =
   done;
   let rank = Array.make n 0 in
   for v = 0 to n - 1 do
-    let d = Graph.degree g v in
+    let d = off.(v + 1) - off.(v) in
     rank.(v) <- start.(d);
     start.(d) <- start.(d) + 1
   done;
   rank
 
 (* CSR of the higher-rank out-adjacency: the out-neighbours of [v] are
-   [csr.(off.(v)) .. csr.(off.(v + 1) - 1)], sorted by vertex id (adjacency
-   arrays are already sorted, and filtering preserves order — no sort, no
-   intermediate lists).  Flat layout keeps the whole structure in two
-   allocations and the intersections cache-friendly. *)
-let build_out_csr g rank =
+   [csr.(off.(v)) .. csr.(off.(v + 1) - 1)], sorted by vertex id (the
+   graph's rows are already sorted, and filtering preserves order — no sort,
+   no intermediate lists).  The rows are read in place from the graph's own
+   CSR.  Flat layout keeps the whole structure in two allocations and the
+   intersections cache-friendly.  [rank] is annotated so the rank tests are
+   int comparisons, not calls to the generic compare. *)
+let build_out_csr g (rank : int array) =
   let n = Graph.n g in
+  let goff = Graph.off g and gnbr = Graph.nbr g in
   let off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    let nbrs = Graph.neighbors g v in
     let rv = rank.(v) in
     let c = ref 0 in
-    for i = 0 to Array.length nbrs - 1 do
-      if rank.(nbrs.(i)) > rv then incr c
+    for i = goff.(v) to goff.(v + 1) - 1 do
+      if rank.(gnbr.(i)) > rv then incr c
     done;
-    off.(v + 1) <- !c
-  done;
-  for v = 1 to n do
-    off.(v) <- off.(v) + off.(v - 1)
+    off.(v + 1) <- off.(v) + !c
   done;
   let csr = Array.make (max 1 off.(n)) 0 in
-  let cursor = Array.make n 0 in
+  let k = ref 0 in
   for v = 0 to n - 1 do
-    cursor.(v) <- off.(v)
-  done;
-  for v = 0 to n - 1 do
-    let nbrs = Graph.neighbors g v in
     let rv = rank.(v) in
-    for i = 0 to Array.length nbrs - 1 do
-      let u = nbrs.(i) in
+    for i = goff.(v) to goff.(v + 1) - 1 do
+      let u = gnbr.(i) in
       if rank.(u) > rv then begin
-        csr.(cursor.(v)) <- u;
-        cursor.(v) <- cursor.(v) + 1
+        csr.(!k) <- u;
+        incr k
       end
     done
   done;
@@ -187,24 +182,25 @@ let is_vee g { source; a; b } =
     maximal matching is a 2-approximation, which suffices for the full-vertex
     analysis (Definition 5). *)
 let disjoint_vees_at g v =
-  let nbrs = Graph.neighbors g v in
-  let used = Array.make (Array.length nbrs) false in
+  let deg = Graph.degree g v in
+  let lo = (Graph.off g).(v) and nbr = Graph.nbr g in
+  let used = Array.make deg false in
   let acc = ref [] in
-  Array.iteri
-    (fun i a ->
-      if not used.(i) then begin
-        let rec probe j =
-          if j >= Array.length nbrs then ()
-          else if (not used.(j)) && Graph.mem_edge g a nbrs.(j) then begin
-            used.(i) <- true;
-            used.(j) <- true;
-            acc := { source = v; a; b = nbrs.(j) } :: !acc
-          end
-          else probe (j + 1)
-        in
-        probe (i + 1)
-      end)
-    nbrs;
+  for i = 0 to deg - 1 do
+    if not used.(i) then begin
+      let a = nbr.(lo + i) in
+      let rec probe j =
+        if j >= deg then ()
+        else if (not used.(j)) && Graph.mem_edge g a nbr.(lo + j) then begin
+          used.(i) <- true;
+          used.(j) <- true;
+          acc := { source = v; a; b = nbr.(lo + j) } :: !acc
+        end
+        else probe (j + 1)
+      in
+      probe (i + 1)
+    end
+  done;
   List.rev !acc
 
 let count_disjoint_vees_at g v = List.length (disjoint_vees_at g v)
@@ -213,9 +209,8 @@ let count_disjoint_vees_at g v = List.length (disjoint_vees_at g v)
 let is_triangle_edge g (u, v) =
   Graph.mem_edge g u v
   && begin
-       let nu = Graph.neighbors g u and nv = Graph.neighbors g v in
-       let a, probe = if Array.length nu <= Array.length nv then (nu, v) else (nv, u) in
-       Array.exists (fun w -> w <> u && w <> v && Graph.mem_edge g probe w) a
+       let scan, probe = if Graph.degree g u <= Graph.degree g v then (u, v) else (v, u) in
+       Graph.exists_neighbor g scan (fun w -> w <> u && w <> v && Graph.mem_edge g probe w)
      end
 
 (** All triangle edges, each once. *)

@@ -34,7 +34,7 @@ let degree_query t v =
     (Sparse-model primitive.) *)
 let neighbor_query t v i =
   t.neighbor_queries <- t.neighbor_queries + 1;
-  let nbrs = Graph.neighbors t.graph v in
-  if i < Array.length nbrs then Some nbrs.(i) else None
+  if i < 0 then invalid_arg "Query_model.neighbor_query: negative index";
+  if i < Graph.degree t.graph v then Some (Graph.nbr t.graph).((Graph.off t.graph).(v) + i) else None
 
 let total_queries t = t.edge_queries + t.degree_queries + t.neighbor_queries

@@ -32,6 +32,12 @@ val hash_float2 : t -> int -> int -> float
 (** [hash_bool t key ~p]: shared Bernoulli(p) mark for [key]. *)
 val hash_bool : t -> int -> p:float -> bool
 
+(** [hash_bool_bits t ~p marks ~bit] sets bit [bit] of byte [v] of [marks]
+    to [hash_bool t v ~p], for every [v] below [Bytes.length marks], leaving
+    the other bits alone: one shared Bernoulli(p) mark per key, computed in
+    bulk. *)
+val hash_bool_bits : t -> p:float -> Bytes.t -> bit:int -> unit
+
 (** Uniform integer in [0, bound); advances the stream.
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int

@@ -10,10 +10,16 @@ let bernoulli_iter rng n ~p f =
       f i
     done
   else begin
-    let i = ref (Rng.geometric rng ~p) in
+    (* [skip] saturates instead of overflowing: a skip of [max_int] (tiny
+       [p]) ends the sweep. *)
+    let skip i =
+      let g = Rng.geometric rng ~p in
+      if g >= n - i then n else i + g
+    in
+    let i = ref (skip 0) in
     while !i < n do
       f !i;
-      i := !i + 1 + Rng.geometric rng ~p
+      i := skip (!i + 1)
     done
   end
 

@@ -28,27 +28,44 @@ let put_bit w b =
     w.pending <- 0
   end
 
+(* Append [width <= 48] bits: with at most 7 pending, the accumulator
+   stays within 55 bits, and every whole byte is emitted from the top. *)
+let put_chunk w ~width v =
+  let acc = (w.acc lsl width) lor v in
+  let left = ref (w.pending + width) in
+  while !left >= 8 do
+    left := !left - 8;
+    Buffer.add_char w.buf (Char.unsafe_chr ((acc lsr !left) land 0xff))
+  done;
+  w.acc <- acc land ((1 lsl !left) - 1);
+  w.pending <- !left;
+  w.written <- w.written + width
+
 (** Write [v] in exactly [width] bits, most significant first.
     @raise Invalid_argument if [v] needs more than [width] bits. *)
 let put_bits w ~width v =
   if width < 0 || width > 62 then invalid_arg "Bitio.put_bits: width out of range";
   if v < 0 || (width < 62 && v lsr width <> 0) then
     invalid_arg "Bitio.put_bits: value does not fit width";
-  for i = width - 1 downto 0 do
-    put_bit w ((v lsr i) land 1 = 1)
-  done
+  if width <= 48 then put_chunk w ~width v
+  else begin
+    put_chunk w ~width:(width - 24) (v lsr 24);
+    put_chunk w ~width:24 (v land 0xffffff)
+  end
 
 (** Elias-gamma code for a nonnegative integer: exactly
-    {!Tfree_util.Bits.elias_gamma}[ v] bits. *)
+    {!Tfree_util.Bits.elias_gamma}[ v] bits — [nb] zeros, then [v + 1] in
+    [nb + 1] bits, which is [v + 1] in [2nb + 1] bits. *)
 let put_gamma w v =
   if v < 0 then invalid_arg "Bitio.put_gamma: negative";
   let x = v + 1 in
   let rec log2floor acc y = if y <= 1 then acc else log2floor (acc + 1) (y lsr 1) in
   let nb = log2floor 0 x in
-  for _ = 1 to nb do
-    put_bit w false
-  done;
-  put_bits w ~width:(nb + 1) x
+  if (2 * nb) + 1 <= 62 then put_bits w ~width:((2 * nb) + 1) x
+  else begin
+    put_bits w ~width:nb 0;
+    put_bits w ~width:(nb + 1) x
+  end
 
 (** Flush to bytes, zero-padding the last partial byte on the right.  The
     pad is [8*|bytes| - bits_written] bits of framing overhead. *)
@@ -76,11 +93,19 @@ let get_bit r =
   r.pos <- r.pos + 1;
   b = 1
 
+(* Up to a whole byte's worth of bits per step; a read that would run past
+   the end fails before consuming anything. *)
 let get_bits r ~width =
   if width < 0 || width > 62 then invalid_arg "Bitio.get_bits: width out of range";
-  let v = ref 0 in
-  for _ = 1 to width do
-    v := (!v lsl 1) lor (if get_bit r then 1 else 0)
+  if r.pos + width > r.limit then invalid_arg "Bitio.get_bit: past end of stream";
+  let v = ref 0 and need = ref width in
+  while !need > 0 do
+    let byte = Char.code (Bytes.get r.data (r.off + (r.pos lsr 3))) in
+    let avail = 8 - (r.pos land 7) in
+    let take = if !need < avail then !need else avail in
+    v := (!v lsl take) lor ((byte lsr (avail - take)) land ((1 lsl take) - 1));
+    r.pos <- r.pos + take;
+    need := !need - take
   done;
   !v
 

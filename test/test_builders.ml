@@ -138,6 +138,79 @@ let edge_oracle_prop =
       observed (fun () -> Graph.of_edges ~n es) = expected
       && observed (fun () -> Graph.of_edge_seq ~n (List.to_seq es)) = expected)
 
+(* ----------------------------------------------------------- players *)
+
+(* The mark-once players of the simultaneous testers against the
+   per-endpoint-hash players of [Reference_players]: every player's message
+   must be equal in value, bit count and layout.  Instances are G(n, d/n)
+   split disjointly over k players; d runs from 0.5 to 60, so with n up to
+   300 it falls both below and at or above sqrt n.  A small [boost] makes
+   the degree-oblivious caps bind. *)
+module Players = Reference_players
+
+let same_msg a b =
+  Tfree_comm.Msg.value a = Tfree_comm.Msg.value b
+  && Tfree_comm.Msg.bits a = Tfree_comm.Msg.bits b
+  && Tfree_comm.Msg.layout a = Tfree_comm.Msg.layout b
+
+let arb_players =
+  QCheck.make
+    ~print:(fun ((n, d, k, seed), (capped, boost)) ->
+      Printf.sprintf "n=%d d=%g k=%d seed=%d capped=%b boost=%g" n d k seed capped boost)
+    QCheck.Gen.(
+      pair
+        (quad (int_range 4 300)
+           (map (fun x -> float_of_int x /. 2.0) (int_range 1 120))
+           (int_range 1 6) (int_range 0 1_000_000))
+        (pair bool (oneofl [ 0.01; 0.2; 1.0 ])))
+
+(* Every player's input and the shared context of a run with this seed. *)
+let player_inputs (n, d, k, seed) =
+  let g = Gen.gnp (Rng.create seed) ~n ~p:(Float.min 1.0 (d /. float_of_int n)) in
+  let parts = Partition.disjoint_random (Rng.create (seed + 1)) ~k g in
+  ({ Tfree_comm.Simultaneous.k; n; shared = Rng.create (seed + 2) }, parts)
+
+let players_prop name ~lib ~reference =
+  QCheck.Test.make ~count:60 ~name:(name ^ " messages equal the per-endpoint-hash reference") arb_players
+    (fun ((_, d, _, _) as inst, (capped, boost)) ->
+      let p = Tfree.Params.with_boost Tfree.Params.practical boost in
+      let ctx, parts = player_inputs inst in
+      let player = (lib p ~d ~capped).Tfree_comm.Simultaneous.player in
+      Array.for_all (fun x -> x)
+        (Array.mapi (fun j input -> same_msg (player ctx j input) (reference p ~d ~capped ctx input)) parts))
+
+let player_props =
+  [
+    players_prop "sim-high"
+      ~lib:(fun p ~d ~capped -> Tfree.Sim_high.protocol ~capped p ~d)
+      ~reference:Players.sim_high;
+    players_prop "sim-low"
+      ~lib:(fun p ~d ~capped -> Tfree.Sim_low.protocol ~capped p ~d)
+      ~reference:Players.sim_low;
+    players_prop "sim-oblivious"
+      ~lib:(fun p ~d:_ ~capped:_ -> Tfree.Sim_oblivious.protocol p)
+      ~reference:(fun p ~d:_ ~capped:_ ctx input -> Players.sim_oblivious p ctx input);
+  ]
+
+(* The selection itself, with caps small enough to cut: random marks over
+   random graphs, against the fold-prepend-truncate it replaces. *)
+let shared_sample_prop =
+  QCheck.Test.make ~count:300 ~name:"Shared_sample.edges equals fold, prepend and truncate"
+    QCheck.(quad (int_range 1 60) (int_range 0 1_000_000) (int_range 0 40) (pair (int_range 0 3) (int_range 0 3)))
+    (fun (n, seed, cap, (mask, need)) ->
+      let rng = Rng.create seed in
+      let g = Gen.gnp rng ~n ~p:0.3 in
+      let marks = Tfree.Shared_sample.create ~n in
+      Rng.hash_bool_bits rng ~p:0.5 marks ~bit:0;
+      Rng.hash_bool_bits (Rng.split rng 1) ~p:0.4 marks ~bit:1;
+      let code v = Char.code (Bytes.get marks v) in
+      let keep u v = code u land mask <> 0 && code v land mask <> 0 && (code u lor code v) land need = need in
+      let expected =
+        List.filteri (fun i _ -> i < cap)
+          (Graph.fold_edges g ~init:[] ~f:(fun acc u v -> if keep u v then (u, v) :: acc else acc))
+      in
+      Tfree.Shared_sample.edges g marks ~mask ~need ~cap = expected)
+
 (* --------------------------------------------------------- served replies *)
 
 (* The build-churn mix: far/free/gnp x dup/disjoint/hash x the cheap
@@ -195,6 +268,7 @@ let () =
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
           (edge_oracle_prop :: List.concat_map (fun f -> List.map (builder_prop f) kinds) families) );
+      ("players", List.map QCheck_alcotest.to_alcotest (shared_sample_prop :: player_props));
       ( "served",
         [ Alcotest.test_case "build-churn replies unchanged" `Quick test_served_replies_unchanged ] );
     ]

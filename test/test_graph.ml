@@ -233,6 +233,12 @@ let test_gen_gnp_extremes () =
   checki "p=0" 0 (Graph.m (Gen.gnp rng ~n:20 ~p:0.0));
   checki "p=1" 190 (Graph.m (Gen.gnp rng ~n:20 ~p:1.0))
 
+(* A geometric skip past the int range used to come back as 0, so a tiny
+   p selected every pair (K200). *)
+let test_gen_gnp_tiny_p () =
+  checki "p=1e-25" 0 (Graph.m (Gen.gnp (Rng.create 13) ~n:200 ~p:1e-25));
+  checki "p=1e-300" 0 (Graph.m (Gen.gnp (Rng.create 14) ~n:200 ~p:1e-300))
+
 let test_gen_gnm_exact () =
   let rng = Rng.create 14 in
   let g = Gen.gnm rng ~n:50 ~m:100 in
@@ -483,6 +489,65 @@ let graph_gen =
 
 let arb_graph = QCheck.make ~print:(fun g -> Format.asprintf "%a" Graph.pp g) graph_gen
 
+(* The CSR invariants: offsets start at 0, never decrease and end at the
+   neighbour array's length, which is 2m; every row is strictly increasing,
+   in range and loop-free; and adjacency is symmetric. *)
+let csr_ok g =
+  let n = Graph.n g and off = Graph.off g and nbr = Graph.nbr g in
+  let ok = ref (Array.length off = n + 1 && off.(0) = 0 && off.(n) = Array.length nbr) in
+  ok := !ok && Array.length nbr = 2 * Graph.m g;
+  for v = 0 to n - 1 do
+    ok := !ok && off.(v) <= off.(v + 1);
+    for i = off.(v) to off.(v + 1) - 1 do
+      let u = nbr.(i) in
+      ok := !ok && u >= 0 && u < n && u <> v && (i = off.(v) || nbr.(i - 1) < u);
+      ok := !ok && u >= 0 && u < n && Array.mem v (Array.sub nbr off.(u) (off.(u + 1) - off.(u)))
+    done
+  done;
+  !ok
+
+(* A raw pair list with repeats, self-loops and both orientations, over
+   [0, n). *)
+let arb_pairs =
+  QCheck.make
+    ~print:(fun (n, es) ->
+      Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) es)))
+    QCheck.Gen.(
+      int_range 1 30 >>= fun n ->
+      list_size (int_range 0 100) (pair (int_bound (n - 1)) (int_bound (n - 1))) >|= fun es -> (n, es))
+
+let csr_props =
+  let open QCheck in
+  let buf es =
+    let b = Graph.Edge_buf.create 4 in
+    List.iter (fun (u, v) -> Graph.Edge_buf.add b u v) es;
+    b
+  in
+  let constructors (n, es) =
+    let g = Graph.of_edges ~n es in
+    let h = Graph.of_edges ~n (List.filteri (fun i _ -> i mod 2 = 0) (List.rev es)) in
+    let perm = Array.init n Fun.id in
+    Sampling.shuffle_in_place (Rng.create (List.length es)) perm;
+    [
+      ("of_edges", g);
+      ("of_edge_seq", Graph.of_edge_seq ~n (List.to_seq es));
+      ("of_buf", Graph.of_buf ~n (buf es));
+      ("of_sorted_buf", Graph.of_sorted_buf ~n (buf (Graph.edges g)));
+      ("union", Graph.union g h);
+      ("union_list", Graph.union_list ~n [ g; h; g ]);
+      ("filter_edges", Graph.filter_edges g (fun u v -> (u + v) mod 3 <> 0));
+      ("induced", Graph.induced g (List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id)));
+      ("relabel", Graph.relabel g perm);
+      ("empty", Graph.empty ~n);
+    ]
+  in
+  [
+    Test.make ~name:"every constructor yields a well-formed CSR" ~count:300 arb_pairs (fun inst ->
+        List.for_all
+          (fun (name, g) -> csr_ok g || Test.fail_reportf "%s breaks the CSR invariants" name)
+          (constructors inst));
+  ]
+
 let qcheck_props =
   let open QCheck in
   [
@@ -574,6 +639,7 @@ let () =
         [
           Alcotest.test_case "gnp count" `Quick test_gen_gnp_edge_count;
           Alcotest.test_case "gnp extremes" `Quick test_gen_gnp_extremes;
+          Alcotest.test_case "gnp tiny p" `Quick test_gen_gnp_tiny_p;
           Alcotest.test_case "gnm exact" `Quick test_gen_gnm_exact;
           Alcotest.test_case "tripartite structure" `Quick test_gen_tripartite_structure;
           Alcotest.test_case "planted triangles exact" `Quick test_gen_planted_far_triangles_exact;
@@ -615,5 +681,5 @@ let () =
           Alcotest.test_case "shuffle preserves" `Quick test_behrend_shuffle_preserves;
           Alcotest.test_case "rejects bad set" `Quick test_behrend_rejects_bad_set;
         ] );
-      ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_props);
+      ("qcheck", List.map QCheck_alcotest.to_alcotest (csr_props @ qcheck_props));
     ]

@@ -92,12 +92,144 @@ let test_rng_copy_isolated () =
   let a' = Rng.create 9 in
   check Alcotest.int64 "copy preserved original state" (Rng.next_int64 a') b1
 
+(* Pinned streams: every draw kind, one line per draw in evaluation order,
+   for four seeds.  The literals were captured from the boxed-[Int64]
+   implementation, so any change of representation must reproduce every
+   stream bit for bit.  The [bool]/[hash_bool] thresholds i/11 sweep p
+   across [0, 1]. *)
+let rng_trace seed =
+  let r = Rng.create seed in
+  let out = ref [] in
+  let push fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let bits bs = String.concat "" (List.map (fun b -> if b then "1" else "0") bs) in
+  let a = Rng.next_int64 r in
+  let b = Rng.next_int64 r in
+  push "next_int64 %Ld %Ld" a b;
+  let a = Rng.int r 1000 in
+  let b = Rng.int r 7 in
+  let c = Rng.int r max_int in
+  push "int %d %d %d" a b c;
+  let f = Rng.float r in
+  push "float %h" f;
+  let bools = List.init 12 (fun i -> Rng.bool r ~p:(float_of_int i /. 11.0)) in
+  push "bool %s" (bits bools);
+  let h1 = Rng.hash_float r 5 in
+  let h2 = Rng.hash_float r (-3) in
+  push "hash_float %h %h" h1 h2;
+  let h1 = Rng.hash_float2 r 11 22 in
+  let h2 = Rng.hash_float2 r 22 11 in
+  push "hash_float2 %h %h" h1 h2;
+  push "hash_bool %s" (bits (List.init 12 (fun i -> Rng.hash_bool r i ~p:(float_of_int i /. 11.0))));
+  let c = Rng.split r 42 in
+  let c2 = Rng.split c (-7) in
+  let x = Rng.next_int64 c in
+  let y = Rng.next_int64 c2 in
+  push "split %Ld %Ld %h" x y (Rng.hash_float c2 3);
+  let gs = List.init 6 (fun i -> Rng.geometric r ~p:(0.05 *. float_of_int (i + 1))) in
+  push "geometric %s" (String.concat " " (List.map string_of_int gs));
+  let a = Rng.next_int64 r in
+  push "after %Ld" a;
+  List.rev !out
+
+let pinned_streams =
+  [
+    (0, [
+      "next_int64 258863698125685209 -4579180619428379477";
+      "int 951 5 3774590672124919483";
+      "float 0x1.0c035d59cda73p-1";
+      "bool 000010011111";
+      "hash_float 0x1.c45b83955d4f9p-1 0x1.197b4f87c9bep-6";
+      "hash_float2 0x1.83c8ad1d2ed1cp-1 0x1.0afd7f377e1e9p-1";
+      "hash_bool 001000101111";
+      "split -5129838797970234595 -7112451149106239048 0x1.9606ee841f8d8p-2";
+      "geometric 0 3 1 2 3 2";
+      "after 3342706558338624913";
+    ]);
+    (1, [
+      "next_int64 3806698062708791863 -4941444728086142741";
+      "int 498 3 2222019373504215817";
+      "float 0x1.ec5e0053500c2p-2";
+      "bool 000010111111";
+      "hash_float 0x1.395bf1b4e3534p-2 0x1.4236f9d72a3dp-2";
+      "hash_float2 0x1.9430e149c9a02p-2 0x1.d19238a140834p-1";
+      "hash_bool 001011111111";
+      "split -5262679514045937122 -210393647878181391 0x1.c177ca5e9f7p-9";
+      "geometric 4 2 3 2 3 1";
+      "after -4879305309511057484";
+    ]);
+    (12345, [
+      "next_int64 -5685381752745145067 6350349988462124347";
+      "int 534 3 4582756109368126968";
+      "float 0x1.bbc89ef4ba16dp-1";
+      "bool 010011110111";
+      "hash_float 0x1.b7ac35189d53bp-1 0x1.8fc181d4123p-8";
+      "hash_float2 0x1.c08ef794cdf8ap-2 0x1.2ad83cafab074p-1";
+      "hash_bool 001010111101";
+      "split -3668251865553974992 -989708400384950704 0x1.e6ba253cef99dp-1";
+      "geometric 7 5 0 5 2 0";
+      "after 5422775339343311811";
+    ]);
+    (-99, [
+      "next_int64 556708585910359753 4196458175287469123";
+      "int 998 3 2659837662396340661";
+      "float 0x1.8b48ffbcaa5cp-7";
+      "bool 000110101101";
+      "hash_float 0x1.a2d0cd8d226d2p-1 0x1.32d56336315acp-2";
+      "hash_float2 0x1.8df3c9aacd854p-2 0x1.f9b964bc0f8f8p-1";
+      "hash_bool 010010011111";
+      "split 8913635004679998779 15845423203361703 0x1.4952981426fcdp-1";
+      "geometric 63 8 11 3 13 3";
+      "after 6419777501235781127";
+    ]);
+  ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (seed, expected) ->
+      check Alcotest.(list string) (Printf.sprintf "seed %d" seed) expected (rng_trace seed))
+    pinned_streams
+
+(* The bulk marks are [hash_bool] key by key, and touch only their bit. *)
+let test_rng_hash_bool_bits () =
+  List.iter
+    (fun (seed, p) ->
+      let r = Rng.create seed in
+      let marks = Bytes.init 300 (fun i -> Char.chr (i land 0xff)) in
+      Rng.hash_bool_bits r ~p marks ~bit:3;
+      for v = 0 to 299 do
+        let c = Char.code (Bytes.get marks v) in
+        checkb "mark" (Rng.hash_bool r v ~p) (c land 8 <> 0);
+        checki "other bits" (v land 0xff land lnot 8) (c land lnot 8)
+      done)
+    [ (1, 0.0); (2, 0.25); (3, 1.0 /. 3.0); (4, 1.0); (5, 0.999) ]
+
+(* A quotient past the int range used to come back from [Float.to_int] as
+   0, i.e. "select the very next index". *)
+let test_rng_geometric_tiny_p () =
+  let r = Rng.create 3 in
+  for _ = 1 to 100 do
+    checki "saturates" max_int (Rng.geometric r ~p:1e-25)
+  done;
+  checki "p=0" max_int (Rng.geometric r ~p:0.0);
+  let g = Rng.geometric r ~p:1e-12 in
+  checkb "representable skip stays finite" true (g >= 0 && g < max_int)
+
 (* ------------------------------------------------------------- Sampling *)
 
 let test_bernoulli_subset_extremes () =
   let r = Rng.create 1 in
   checki "p=0 empty" 0 (List.length (Sampling.bernoulli_subset r 100 ~p:0.0));
   checki "p=1 full" 100 (List.length (Sampling.bernoulli_subset r 100 ~p:1.0))
+
+let test_bernoulli_tiny_p () =
+  let r = Rng.create 1 in
+  let hits = ref 0 in
+  Sampling.bernoulli_iter r 1000 ~p:1e-25 (fun _ -> incr hits);
+  checki "p=1e-25 selects nothing" 0 !hits;
+  (* a saturated skip after a real hit must end the sweep, not wrap *)
+  let seen = ref [] in
+  Sampling.bernoulli_iter (Rng.create 2) 50 ~p:1e-18 (fun i -> seen := i :: !seen);
+  checkb "indices in range" true (List.for_all (fun i -> i >= 0 && i < 50) !seen)
 
 let test_bernoulli_subset_sorted_distinct () =
   let r = Rng.create 2 in
@@ -469,10 +601,14 @@ let () =
           Alcotest.test_case "geometric p=1" `Quick test_rng_geometric_zero_p_one;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "copy isolation" `Quick test_rng_copy_isolated;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "geometric tiny p" `Quick test_rng_geometric_tiny_p;
+          Alcotest.test_case "hash_bool_bits" `Quick test_rng_hash_bool_bits;
         ] );
       ( "sampling",
         [
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_subset_extremes;
+          Alcotest.test_case "bernoulli tiny p" `Quick test_bernoulli_tiny_p;
           Alcotest.test_case "bernoulli sorted+distinct" `Quick test_bernoulli_subset_sorted_distinct;
           Alcotest.test_case "bernoulli expected size" `Quick test_bernoulli_subset_size;
           Alcotest.test_case "without_replacement basic" `Quick test_without_replacement_basic;

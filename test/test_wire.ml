@@ -1827,6 +1827,95 @@ let qcheck_props =
         && Frame.overhead_bits ~frame_bytes:(Bytes.length frame) ~payload_bits:(Msg.bits msg) > 0);
   ]
 
+(* Word-wide [Bitio] against a per-bit reference: a stream of operations
+   (fixed-width fields of every width 0-62, single bits and gamma codes) is
+   written by both and must give the same bytes, and reading it back with
+   [Bitio] must return every value with the same bit positions. *)
+type bit_op = Bits of int * int | Bit of bool | Gamma of int
+
+let ref_bits ops =
+  let out = Buffer.create 64 and acc = ref 0 and pending = ref 0 in
+  let bit b =
+    acc := (!acc lsl 1) lor (if b then 1 else 0);
+    incr pending;
+    if !pending = 8 then begin
+      Buffer.add_char out (Char.chr !acc);
+      acc := 0;
+      pending := 0
+    end
+  in
+  let field width v =
+    for i = width - 1 downto 0 do
+      bit ((v lsr i) land 1 = 1)
+    done
+  in
+  List.iter
+    (function
+      | Bits (width, v) -> field width v
+      | Bit b -> bit b
+      | Gamma v ->
+          let x = v + 1 in
+          let nb = ref 0 in
+          while x lsr (!nb + 1) > 0 do
+            incr nb
+          done;
+          field !nb 0;
+          field (!nb + 1) x)
+    ops;
+  if !pending > 0 then Buffer.add_char out (Char.chr (!acc lsl (8 - !pending)));
+  Buffer.to_bytes out
+
+let arb_bit_ops =
+  let open QCheck.Gen in
+  let field =
+    int_range 0 62 >>= fun width ->
+    map (fun v -> Bits (width, if width = 0 then 0 else v land ((1 lsl width) - 1))) (int_bound max_int)
+  in
+  let gamma = map (fun v -> Gamma v) (oneof [ int_bound 1000; int_bound (max_int - 1) ]) in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Bits (w, v) -> Printf.sprintf "bits %d %d" w v
+             | Bit b -> Printf.sprintf "bit %b" b
+             | Gamma v -> Printf.sprintf "gamma %d" v)
+           ops))
+    (list_size (int_range 0 40) (frequency [ (4, field); (2, map (fun b -> Bit b) bool); (1, gamma) ]))
+
+let bitio_props =
+  let open QCheck in
+  [
+    Test.make ~name:"word-wide bitio equals the per-bit reference" ~count:500 arb_bit_ops (fun ops ->
+        let w = Bitio.writer () in
+        List.iter
+          (function
+            | Bits (width, v) -> Bitio.put_bits w ~width v
+            | Bit b -> Bitio.put_bit w b
+            | Gamma v -> Bitio.put_gamma w v)
+          ops;
+        let written = Bitio.bits_written w in
+        let bytes = Bitio.to_bytes w in
+        let r = Bitio.reader bytes in
+        Bytes.equal bytes (ref_bits ops)
+        && List.for_all
+             (function
+               | Bits (width, v) -> Bitio.get_bits r ~width = v
+               | Bit b -> Bitio.get_bit r = b
+               | Gamma v -> Bitio.get_gamma r = v)
+             ops
+        && Bitio.bits_read r = written);
+    Test.make ~name:"a payload cut short decodes as Corrupt" ~count:300 Tfree_proptest.Msg_gen.arbitrary
+      (fun msg ->
+        let payload, bits = Codec.encode_payload msg in
+        bits = 0
+        ||
+        let cut = Bytes.sub payload 0 ((bits - 1) / 8) in
+        match Codec.decode_payload (Msg.layout msg) ~bits cut with
+        | _ -> false
+        | exception Wire_error.Wire_error (Wire_error.Corrupt _) -> true);
+  ]
+
 (* The chaos property (the wire's one-sidedness): under ANY fault schedule,
    every protocol on every loopback transport either completes with exactly
    its fault-free verdict or aborts with a typed Wire_error — never a wrong
@@ -1986,5 +2075,5 @@ let () =
         ] );
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
-          (qcheck_props @ shard_qcheck_props @ [ fleet_merge_order_prop; chaos_qcheck_prop ]) );
+          (qcheck_props @ bitio_props @ shard_qcheck_props @ [ fleet_merge_order_prop; chaos_qcheck_prop ]) );
     ]

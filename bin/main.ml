@@ -853,20 +853,18 @@ let client_cmd =
       in
       match batch with
       | None -> (
-          let result =
+          let query =
             match dataset with
             | Some name ->
-                let dreq =
+                Service.Dataset
                   { Service.ds_name = name; ds_partition = part; ds_protocol = proto; ds_k = k;
                     ds_eps = eps; ds_seed = seed; ds_transport = transport; ds_fault = fault_spec }
-                in
-                Service.client_dataset ~timeout_s:timeout ~retries ~backoff_s:backoff
-                  ~backoff_seed:seed ~protocol:wire_pref ~path dreq
-            | None ->
-                Service.client_query ~timeout_s:timeout ~retries ~backoff_s:backoff
-                  ~backoff_seed:seed ~protocol:wire_pref ~path req
+            | None -> Service.Generated req
           in
-          match result with
+          match
+            Service.client_run ~timeout_s:timeout ~retries ~backoff_s:backoff ~backoff_seed:seed
+              ~protocol:wire_pref ~path query
+          with
           | Error msg ->
               Printf.eprintf "error: %s\n" msg;
               exit 1

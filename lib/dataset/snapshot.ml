@@ -34,14 +34,6 @@ let get_varint s pos limit =
   if !x < 0 then E.corrupt "varint overflow";
   !x
 
-(* Same definition as the wire protocol's frame checksum. *)
-let sum16 s off len =
-  let acc = ref 0 in
-  for i = off to off + len - 1 do
-    acc := !acc + Char.code s.[i]
-  done;
-  !acc land 0xffff
-
 (* ---------------------------------------------------------------- encode *)
 
 let encode g =
@@ -58,7 +50,10 @@ let encode g =
       pu := u;
       pv := v);
   let body = Buffer.contents b in
-  let ck = sum16 body (String.length magic) (String.length body - String.length magic) in
+  let ck =
+    Tfree_util.Checksum.sum16 (Bytes.unsafe_of_string body) (String.length magic)
+      (String.length body - String.length magic)
+  in
   Buffer.add_char b (Char.chr (ck land 0xff));
   Buffer.add_char b (Char.chr ((ck lsr 8) land 0xff));
   Buffer.contents b
@@ -71,7 +66,7 @@ let decode s =
   if len < mlen || String.sub s 0 mlen <> magic then E.corrupt "bad magic (not a snapshot)";
   if len < mlen + 1 + 2 + 2 then E.truncated "snapshot shorter than its fixed header";
   let stored = Char.code s.[len - 2] lor (Char.code s.[len - 1] lsl 8) in
-  let computed = sum16 s mlen (len - 2 - mlen) in
+  let computed = Tfree_util.Checksum.sum16 (Bytes.unsafe_of_string s) mlen (len - 2 - mlen) in
   if stored <> computed then
     E.corrupt "checksum mismatch (stored %04x, computed %04x)" stored computed;
   let v = Char.code s.[mlen] in

@@ -1,6 +1,6 @@
 (** Length-prefixed message framing.
 
-    Frame format, all framing fields byte-aligned:
+    Frame format — the one {!Proto} frame, whose body here is a message:
 
     {v
     varint  L              length in bytes of everything after this varint
@@ -17,118 +17,60 @@
     [wire_bytes * 8 - framing_overhead_bits = accounted_bits] holds exactly
     when the ledger and the transport agree.
 
-    Parsing fails closed: a length field beyond {!max_frame_bytes} raises
-    [Oversized], a body the stream cannot supply raises [Truncated], and a
-    checksum mismatch, impossible length combination or undecodable payload
-    raises [Corrupt] — all typed {!Wire_error.Wire_error}s, so a fault
-    injected below this layer can abort a run but never smuggle a wrong
-    message past it.  The byte-sum checksum detects {e every} single
-    bit-flip in the body (a flip changes one byte by ±2^k, k ≤ 7, which
-    cannot vanish mod 2^16). *)
+    Sealing and verifying go through {!Proto}'s frame code: its length cap
+    ({!Proto.max_frame_bytes}) raises [Oversized], a body the buffer
+    cannot supply raises [Truncated], and a checksum mismatch, impossible
+    length combination or undecodable payload raises [Corrupt] — all typed
+    {!Wire_error.Wire_error}s, so a fault injected below this layer can
+    abort a run but never smuggle a wrong message past it. *)
 
 open Tfree_comm
-
-(** Hard cap on the body length a reader will believe (64 MiB) — a
-    corrupted length prefix must not make the receiver allocate or wait for
-    gigabytes.  The largest honest frame in the repo is well under 1 MiB. *)
-let max_frame_bytes = 1 lsl 26
-
-(* Smallest possible body: 1-byte bit count + 1-byte layout + checksum. *)
-let min_body_bytes = 4
-
-let sum16 data off len =
-  let s = ref 0 in
-  for i = off to off + len - 1 do
-    s := !s + Char.code (Bytes.get data i)
-  done;
-  !s land 0xffff
 
 (** The whole frame for [msg]. *)
 let encode msg =
   let payload, payload_bits = Codec.encode_payload msg in
   let layout = Codec.layout_to_bytes (Msg.layout msg) in
-  let body = Buffer.create (Bytes.length payload + Bytes.length layout + 6) in
-  Codec.put_varint body payload_bits;
-  Buffer.add_bytes body layout;
-  Buffer.add_bytes body payload;
-  let ck = sum16 (Buffer.to_bytes body) 0 (Buffer.length body) in
-  Buffer.add_char body (Char.chr (ck land 0xff));
-  Buffer.add_char body (Char.chr (ck lsr 8));
-  let frame = Buffer.create (Buffer.length body + 2) in
-  Codec.put_varint frame (Buffer.length body);
-  Buffer.add_buffer frame body;
-  Buffer.to_bytes frame
+  let b = Proto.create_buf ~capacity:(Bytes.length payload + Bytes.length layout + 24) () in
+  Proto.begin_frame b;
+  Proto.put_varint b payload_bits;
+  Proto.put_bytes b layout;
+  Proto.put_bytes b payload;
+  Proto.end_frame b;
+  Bytes.sub (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b)
 
-(* Validate and decode one frame body at [start], [body_len] bytes: verify
-   the checksum, then the length arithmetic, then decode the payload.  The
-   caller has already bounds-checked [start + body_len] against the data. *)
-let parse_body data ~start ~body_len =
-  if body_len < min_body_bytes then
-    Wire_error.errorf_corrupt "Frame: body of %d bytes is shorter than any frame" body_len;
-  let ck_off = start + body_len - 2 in
-  let expect = sum16 data start (body_len - 2) in
-  let got = Char.code (Bytes.get data ck_off) lor (Char.code (Bytes.get data (ck_off + 1)) lsl 8) in
-  if expect <> got then
-    Wire_error.errorf_corrupt "Frame: checksum mismatch (computed %04x, carried %04x)" expect got;
-  let pos = ref start in
-  let payload_bits = Codec.get_varint data pos in
-  let layout = Codec.get_layout data pos in
-  let payload_bytes = (payload_bits + 7) / 8 in
-  if !pos + payload_bytes <> ck_off then
-    Wire_error.errorf_corrupt "Frame: inconsistent frame lengths (%d-bit payload in a %d-byte body)"
-      payload_bits body_len;
-  Codec.decode_payload layout ~off:!pos ~bits:payload_bits data
-
-let check_body_len body_len =
-  if body_len > max_frame_bytes then
-    Wire_error.error (Wire_error.Oversized { limit = max_frame_bytes; got = body_len })
-
-(** Parse one frame from [data] at [!pos]; advances [pos] past it. *)
+(** Parse one frame from [data] at [!pos]; advances [pos] past it.  The
+    checksum is verified before any length arithmetic or payload decode. *)
 let decode data pos =
-  let body_len = Codec.get_varint data pos in
-  check_body_len body_len;
-  let body_end = !pos + body_len in
-  if body_end > Bytes.length data then
-    Wire_error.errorf_truncated "Frame.decode: length field %d larger than the %d-byte buffer"
-      body_len
-      (Bytes.length data - !pos);
-  let msg = parse_body data ~start:!pos ~body_len in
-  pos := body_end;
-  msg
+  let start = !pos and cur = Proto.cursor () in
+  match Proto.try_frame ~who:"Frame" data ~pos:start ~limit:(Bytes.length data) cur with
+  | -1 ->
+      (* a whole length prefix promising more than the buffer holds (a
+         cut-off prefix raises from the varint read itself) *)
+      let p = ref start in
+      let body_len = Codec.get_varint data p in
+      Wire_error.errorf_truncated "Frame.decode: length field %d larger than the %d-byte buffer"
+        body_len
+        (Bytes.length data - !p)
+  | frame_len ->
+      (* [cur] covers the body without its checksum *)
+      let body_len = Proto.remaining cur in
+      let ck_off = start + frame_len - 2 in
+      if body_len < 2 then
+        Wire_error.errorf_corrupt "Frame: body of %d bytes is shorter than any frame"
+          (body_len + 2);
+      let p = ref (ck_off - body_len) in
+      let payload_bits = Codec.get_varint data p in
+      let layout = Codec.get_layout data p in
+      if !p + ((payload_bits + 7) / 8) <> ck_off then
+        Wire_error.errorf_corrupt
+          "Frame: inconsistent frame lengths (%d-bit payload in a %d-byte body)" payload_bits
+          (body_len + 2);
+      let msg = Codec.decode_payload layout ~off:!p ~bits:payload_bits data in
+      pos := start + frame_len;
+      msg
 
 (** Overhead of the frame [bytes] carrying a [payload_bits]-bit payload. *)
 let overhead_bits ~frame_bytes ~payload_bits = (8 * frame_bytes) - payload_bits
-
-(** Send one frame; returns the frame size in bytes. *)
-let write tr msg =
-  let frame = encode msg in
-  Transport.send tr frame;
-  Bytes.length frame
-
-(* Read the length varint one byte at a time (a stream has no lookahead),
-   then the body in one recv.  A varint that does not terminate within ten
-   bytes is garbage, not a length. *)
-let read_varint tr =
-  let v = ref 0 and shift = ref 0 and continue = ref true and consumed = ref 0 in
-  while !continue do
-    if !consumed >= 10 then
-      Wire_error.errorf_corrupt "Frame.read: length varint longer than 10 bytes";
-    let byte = Char.code (Bytes.get (Transport.recv tr 1) 0) in
-    incr consumed;
-    v := !v lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    continue := byte land 0x80 <> 0
-  done;
-  if !v < 0 then Wire_error.errorf_corrupt "Frame.read: negative length varint";
-  (!v, !consumed)
-
-(** Receive one frame; returns the message and the frame size in bytes. *)
-let read tr =
-  let body_len, prefix_len = read_varint tr in
-  check_body_len body_len;
-  let body = Transport.recv tr body_len in
-  let msg = parse_body body ~start:0 ~body_len in
-  (msg, prefix_len + body_len)
 
 (** Loopback round trip: the frame crosses the transport and comes back
     decoded.  Returns the delivered message and the frame size. *)

@@ -1,18 +1,15 @@
-(** Length-prefixed framing over a {!Transport}: varint length, varint
-    payload bit count, layout descriptor, a payload of exactly [Msg.bits]
-    bits, and a 2-byte mod-2^16 checksum that detects every single bit-flip
-    in the body.  Everything except the payload bits is framing overhead,
-    so [8 * frame_bytes - payload_bits] per frame reconciles wire bytes
-    against the cost ledger.  Parsing fails closed with typed
-    {!Wire_error.Wire_error}s ([Oversized] / [Truncated] / [Corrupt]) —
-    never out-of-bounds reads, unbounded allocation, or string-matched
-    exceptions. *)
+(** Length-prefixed framing of one protocol message: varint length,
+    varint payload bit count, layout descriptor, a payload of exactly
+    [Msg.bits] bits, and a 2-byte mod-2^16 checksum that detects every
+    single bit-flip in the body — the one {!Proto} frame, sealed and
+    verified through {!Proto}'s code.  Everything except the payload bits
+    is framing overhead, so [8 * frame_bytes - payload_bits] per frame
+    reconciles wire bytes against the cost ledger.  Parsing fails closed
+    with typed {!Wire_error.Wire_error}s ([Oversized] / [Truncated] /
+    [Corrupt]) — never out-of-bounds reads, unbounded allocation, or
+    string-matched exceptions. *)
 
 open Tfree_comm
-
-(** Hard cap (64 MiB) on the body length a reader will believe; a corrupted
-    length prefix beyond it raises [Oversized]. *)
-val max_frame_bytes : int
 
 (** The whole frame for a message. *)
 val encode : Msg.t -> Bytes.t
@@ -24,14 +21,8 @@ val decode : Bytes.t -> int ref -> Msg.t
 
 val overhead_bits : frame_bytes:int -> payload_bits:int -> int
 
-(** Send one frame; returns its size in bytes. *)
-val write : Transport.t -> Msg.t -> int
-
-(** Receive one frame; returns the message and its size in bytes.
+(** Loopback round trip: write the frame, read it back from the same
+    stream, decode.  Returns the delivered message and the frame size.
     @raise Wire_error.Wire_error as for {!decode}, plus whatever the
     transport raises ([Truncated] / [Peer_closed]). *)
-val read : Transport.t -> Msg.t * int
-
-(** Loopback round trip: write the frame, read it back from the same
-    stream, decode.  Returns the delivered message and the frame size. *)
 val exchange : Transport.t -> Msg.t -> Msg.t * int

@@ -2,11 +2,12 @@
 
     The JSON-per-line service protocol (v1) pays a parse/print cost and a
     5-10x byte inflation on every query — exactly the waste the repo's
-    bit-accounting discipline exists to expose.  Protocol v2 keeps the
-    framing discipline of {!Frame} (varint length prefix, byte-sum
-    checksum, fail-closed typed errors) but carries fixed binary layouts
-    for the service's request/reply/batch/stats shapes.  This module owns
-    the pieces that are shape-independent:
+    bit-accounting discipline exists to expose.  Protocol v2 carries fixed
+    binary layouts for the service's request/reply/batch/stats shapes in
+    the one frame format of [lib/wire] (varint length prefix, byte-sum
+    checksum, fail-closed typed errors) — the same one {!Frame} seals each
+    protocol message of a wire run in.  This module owns the pieces that
+    are shape-independent:
 
     - the negotiation handshake constants ({!magic}, {!max_version});
     - {!buf}, a reusable growable scratch buffer with a frame
@@ -26,7 +27,8 @@
     float/int64 a 64-bit load cannot avoid.  The micro-benchmark gate
     ([bench/micro]) asserts this with a [Gc.minor_words]-per-query bound.
 
-    Frame format (identical discipline to {!Frame}):
+    Frame format (a {!Frame} body is a message's bit count, layout and
+    payload instead of a tag and fields):
 
     {v
     varint  L         length in bytes of everything after this varint
@@ -53,28 +55,14 @@ type pref = V1 | V2 | Auto
 
 let pref_to_string = function V1 -> "v1" | V2 -> "v2" | Auto -> "auto"
 
-let pref_of_string = function
-  | "v1" -> Some V1
-  | "v2" -> Some V2
-  | "auto" -> Some Auto
-  | _ -> None
-
 (** The two-byte hello for [version], both directions: the client offers
     the highest version it speaks, the server answers with the version the
     connection will use (0 = refused; the connection falls back to v1). *)
 let hello version = Printf.sprintf "%c%c" magic (Char.chr (version land 0xff))
 
-(* ------------------------------------------------------------- checksum *)
-
-let sum16 data off len =
-  let s = ref 0 in
-  for i = off to off + len - 1 do
-    s := !s + Char.code (Bytes.unsafe_get data i)
-  done;
-  !s land 0xffff
-
-(* The frame cap mirrors {!Frame.max_frame_bytes}: a corrupted length
-   prefix must not make the server allocate or wait for gigabytes. *)
+(* Hard cap on the body length a reader will believe (64 MiB): a
+   corrupted length prefix must not make either side allocate or wait for
+   gigabytes.  The largest honest frame in the repo is well under 1 MiB. *)
 let max_frame_bytes = 1 lsl 26
 
 (* ------------------------------------------------------- scratch buffer *)
@@ -135,6 +123,12 @@ let put_f64 b f =
   Bytes.set_int64_le b.data b.len (Int64.bits_of_float f);
   b.len <- b.len + 8
 
+let put_bytes b src =
+  let n = Bytes.length src in
+  ensure b n;
+  Bytes.blit src 0 b.data b.len n;
+  b.len <- b.len + n
+
 let put_string b s =
   let n = String.length s in
   put_varint b n;
@@ -152,7 +146,7 @@ let begin_frame b =
 
 let end_frame b =
   let body_len = b.len - headroom in
-  let ck = sum16 b.data headroom body_len in
+  let ck = Tfree_util.Checksum.sum16 b.data headroom body_len in
   ensure b 2;
   Bytes.unsafe_set b.data b.len (Char.unsafe_chr (ck land 0xff));
   Bytes.unsafe_set b.data (b.len + 1) (Char.unsafe_chr (ck lsr 8));
@@ -253,17 +247,17 @@ let expect_end cur =
     frame: an oversized or garbage length prefix, a checksum mismatch, a
     body too short to carry a tag.  A byte stream cannot resync after any
     of these, so the caller must fail the connection closed. *)
-let try_frame data ~pos ~limit cur =
+let try_frame ?(who = "Proto.try_frame") data ~pos ~limit cur =
   (* length varint, streaming: incomplete only while it may still finish *)
   let l = ref 0 and shift = ref 0 and p = ref pos and continue = ref true and result = ref 0 in
   while !continue do
     if !p >= limit then begin
-      if !p - pos >= 10 then Wire_error.errorf_corrupt "Proto.try_frame: length varint longer than 10 bytes";
+      if !p - pos >= 10 then Wire_error.errorf_corrupt "%s: length varint longer than 10 bytes" who;
       result := -1;
       continue := false
     end
     else begin
-      if !p - pos >= 10 then Wire_error.errorf_corrupt "Proto.try_frame: length varint longer than 10 bytes";
+      if !p - pos >= 10 then Wire_error.errorf_corrupt "%s: length varint longer than 10 bytes" who;
       let byte = Char.code (Bytes.unsafe_get data !p) in
       incr p;
       l := !l lor ((byte land 0x7f) lsl !shift);
@@ -273,33 +267,29 @@ let try_frame data ~pos ~limit cur =
   done;
   if !result = -1 then -1
   else begin
-    if !l < 0 then Wire_error.errorf_corrupt "Proto.try_frame: negative length prefix";
+    if !l < 0 then Wire_error.errorf_corrupt "%s: negative length prefix" who;
     if !l > max_frame_bytes then
       Wire_error.error (Wire_error.Oversized { limit = max_frame_bytes; got = !l });
     if !l < 3 then
-      Wire_error.errorf_corrupt "Proto.try_frame: %d-byte frame is shorter than any message" !l;
+      Wire_error.errorf_corrupt "%s: %d-byte frame is shorter than any message" who !l;
     let body_start = !p in
     let frame_end = body_start + !l in
     if frame_end > limit then -1
     else begin
       let body_len = !l - 2 in
       let ck_off = body_start + body_len in
-      let expect = sum16 data body_start body_len in
+      let expect = Tfree_util.Checksum.sum16 data body_start body_len in
       let got =
         Char.code (Bytes.unsafe_get data ck_off)
         lor (Char.code (Bytes.unsafe_get data (ck_off + 1)) lsl 8)
       in
       if expect <> got then
-        Wire_error.errorf_corrupt "Proto.try_frame: checksum mismatch (computed %04x, carried %04x)"
-          expect got;
+        Wire_error.errorf_corrupt "%s: checksum mismatch (computed %04x, carried %04x)" who expect
+          got;
       set_cursor cur data ~pos:body_start ~limit:ck_off;
       frame_end - pos
     end
   end
-
-(** Framing overhead of a sealed frame whose body is [body_len] bytes: the
-    length varint plus the 2-byte checksum. *)
-let frame_overhead_bytes ~body_len = varint_size (body_len + 2) + 2
 
 (* ------------------------------------------------ connection read buffer *)
 

@@ -4,9 +4,10 @@
     loop drains with, and the self-shrinking per-connection read buffer.
 
     The service-shape layouts (query/reply/batch/stats) live in
-    {!Service}; this module only knows bytes.  Frames carry the same
-    discipline as {!Frame}: a varint length prefix, a body, and a 2-byte
-    mod-2^16 checksum over the body.  All reader failures raise the typed
+    {!Service}; this module only knows bytes.  Its frames — a varint length
+    prefix, a body, and a 2-byte mod-2^16 checksum over the body — are the
+    one frame format of [lib/wire]: {!Frame} seals and verifies each
+    protocol message of a wire run through the same code.  All reader failures raise the typed
     {!Wire_error.Wire_error} — nothing here fails open. *)
 
 (** {2 Negotiation} *)
@@ -26,7 +27,6 @@ val max_version : int
 type pref = V1 | V2 | Auto
 
 val pref_to_string : pref -> string
-val pref_of_string : string -> pref option
 
 (** The two-byte hello for [version], identical in both directions: the
     client offers the highest version it speaks, the server answers with
@@ -35,15 +35,10 @@ val hello : int -> string
 
 (** {2 Frames} *)
 
-(** Same cap as {!Frame.max_frame_bytes}: a corrupted length prefix must
-    not make either side allocate or wait for gigabytes. *)
+(** Hard cap (64 MiB) on the body length a reader will believe: a
+    corrupted length prefix must not make either side allocate or wait
+    for gigabytes. *)
 val max_frame_bytes : int
-
-val sum16 : Bytes.t -> int -> int -> int
-
-(** Length prefix + checksum bytes a sealed frame adds around a
-    [body_len]-byte body. *)
-val frame_overhead_bytes : body_len:int -> int
 
 (** {2 Writing: reusable scratch buffer}
 
@@ -70,6 +65,9 @@ val put_zigzag : buf -> int -> unit
 
 (** IEEE-754 binary64, little-endian. *)
 val put_f64 : buf -> float -> unit
+
+(** The bytes as they are, no length prefix. *)
+val put_bytes : buf -> Bytes.t -> unit
 
 (** Varint byte length, then the bytes. *)
 val put_string : buf -> string -> unit
@@ -115,12 +113,13 @@ val expect_end : cursor -> unit
     complete frame.  On success: verifies the checksum, points [cur] at
     the body (checksum excluded) and returns the total byte length to
     consume.  Returns [-1] while the buffered bytes are still a prefix of
-    a valid frame (read more).
+    a valid frame (read more).  Error messages open with [who] (default
+    ["Proto.try_frame"]).
     @raise Wire_error.Wire_error when the bytes can never become a valid
     frame (oversized or garbage length, checksum mismatch, body shorter
     than a tag) — a byte stream cannot resync after these, so fail the
     connection closed. *)
-val try_frame : Bytes.t -> pos:int -> limit:int -> cursor -> int
+val try_frame : ?who:string -> Bytes.t -> pos:int -> limit:int -> cursor -> int
 
 (** {2 Per-connection read buffer}
 

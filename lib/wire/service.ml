@@ -1,32 +1,39 @@
 (* tfree-serve — a query service over Unix-domain sockets.
 
-   Protocol: one JSON value per line, both directions.  A request names an
-   instance family, an edge partition and a protocol (the same enums the
-   tfree CLI exposes) plus size parameters; the server builds the instance,
-   runs the protocol through a {!Wire_runtime} network — so every charged
-   message crosses a real transport — and replies with the verdict, the
-   accounted bits and the measured wire traffic, reconciled.
+   A query names an instance — generated from a family and size
+   parameters, or a registered dataset by name — plus an edge partition
+   and a protocol (the same enums the tfree CLI exposes); the server
+   builds or loads the instance, runs the protocol through a
+   {!Wire_runtime} network — so every charged message crosses a real
+   transport — and replies with the verdict, the accounted bits and the
+   measured wire traffic, reconciled.
 
-   A request of the form [{"cmd": "shutdown"}] stops the server after the
-   acknowledgement is written.  [{"op": "stats"}] returns the server's
-   telemetry ({!Metrics}): queries served, per-protocol verdict counts,
-   categorized error counts, retry and injected-fault tallies, connection
-   and cache gauges, wire traffic totals and latency quantiles.
+   Every request travels one path, whichever wire protocol carried it.
+   A JSON v1 line ({!op_of_line}) and a binary v2 frame ({!op_of_frame})
+   decode into the same [op]: a query ({!query}: [Generated] or
+   [Dataset]), a batch of generated queries, stats, health or shutdown.
+   One dispatcher ({!dispatch}) serves the op into a [reply], which the
+   connection's codec encodes ({!reply_to_json}, {!encode_reply_frame});
+   one {!run_core} records, classifies and runs every query; one
+   {!query_pair} looks its instance up.  The client encodes the same
+   [op] and decodes either codec's answer back into a [reply].
+
+   [{"cmd": "shutdown"}] stops the server after the acknowledgement is
+   written.  [{"op": "stats"}] returns the server's telemetry
+   ({!Metrics}); [{"op": "health"}] its O(1) liveness scalars.
    [{"op": "batch", "requests": [...]}] runs many queries over one framed
-   exchange and returns per-item verdicts in order — one line out, one line
-   back, amortizing the JSON-line framing across the batch.
+   exchange and returns per-item verdicts in order.
 
-   The server is a single-threaded select event loop: every open
-   connection owns a read buffer and a per-line deadline, so a slow,
-   silent or chaos-faulted client costs at most its own connection while
-   the loop keeps serving everyone else.  Admission is bounded by
-   [max_clients]; a connection over the cap is shed with a typed
-   [overload]-category error, never a hang.  Instances and partitions are
-   memoized in a bounded {!Tfree_util.Lru} keyed by the request fields
-   that determine them, so repeated seeds skip the rebuild (hits and
-   misses are surfaced through the stats op).
+   The server is a single-threaded poll event loop: every open connection
+   owns a read buffer and a per-line deadline, so a slow, silent or
+   chaos-faulted client costs at most its own connection while the loop
+   keeps serving everyone else.  Admission is bounded by [max_clients]; a
+   connection over the cap is shed with a typed [overload]-category
+   error, never a hang.  Instances and partitions are memoized in a
+   bounded {!Tfree_util.Lru} keyed by the query fields that determine
+   them.
 
-   The server is built to degrade, never die: malformed lines get a
+   The server is built to degrade, never die: malformed requests get a
    structured [{"ok": false, "error": ..., "category": ...}] reply and the
    connection stays usable; a client killed mid-line, a half-written
    request, a reply write into a closed socket, or a silent client holding
@@ -34,11 +41,11 @@
    and at worst that one connection.  SIGPIPE is ignored for the same
    reason — a dead peer must surface as an [EPIPE] result, not a signal.
 
-   The client side mirrors this with {!client_query}'s bounded retry:
-   transient failures (connection refused, timeouts, garbled or truncated
-   replies, server errors in the timeout/transport/overload categories)
-   back off exponentially with deterministic jitter and try again;
-   structured server rejections (malformed request, unknown op) are fatal
+   The client side mirrors this with a bounded retry: transient failures
+   (connection refused, timeouts, garbled or truncated replies, server
+   errors in the timeout/transport/overload categories) back off
+   exponentially with deterministic jitter and try again; structured
+   server rejections (malformed request, unknown op) are fatal
    immediately. *)
 
 open Tfree_util
@@ -48,6 +55,7 @@ module Mono = Tfree_obs.Mono
 module Logger = Tfree_obs.Logger
 module Prom = Tfree_obs.Prom
 module Trace = Tfree_trace.Trace
+module Registry = Tfree_dataset.Registry
 
 (* ------------------------------------------------------ the CLI's enums *)
 
@@ -130,7 +138,7 @@ let build_partition kind rng ~k g =
   | Skewed -> Partition.skewed rng ~k ~bias:0.8 g
   | Hash -> Partition.by_endpoint_hash rng ~k g
 
-(* ------------------------------------------------------------- requests *)
+(* -------------------------------------------------------------- queries *)
 
 type request = {
   family : family;
@@ -193,6 +201,28 @@ let default_dataset_request ~name =
     ds_fault = "";
   }
 
+type query = Generated of request | Dataset of dataset_request
+
+(* The vocabulary both arms share: how the instance is partitioned and
+   queried. *)
+let protocol_of = function Generated r -> r.protocol | Dataset d -> d.ds_protocol
+let partition_of = function Generated r -> r.partition | Dataset d -> d.ds_partition
+let k_of = function Generated r -> r.k | Dataset d -> d.ds_k
+let eps_of = function Generated r -> r.eps | Dataset d -> d.ds_eps
+let seed_of = function Generated r -> r.seed | Dataset d -> d.ds_seed
+let transport_of = function Generated r -> r.transport | Dataset d -> d.ds_transport
+let fault_of = function Generated r -> r.fault | Dataset d -> d.ds_fault
+
+(* The arm a decoder asked for; the typed entry points below use these to
+   narrow a [query] they built themselves. *)
+let as_generated = function
+  | Generated r -> r
+  | Dataset _ -> invalid_arg "Service: not a generated query"
+
+let as_dataset = function
+  | Dataset d -> d
+  | Generated _ -> invalid_arg "Service: not a dataset query"
+
 (* ----------------------------------------------------------------- JSON *)
 
 let request_to_json r =
@@ -208,6 +238,20 @@ let request_to_json r =
       ("seed", Jsonout.Num (float_of_int r.seed));
       ("transport", Jsonout.Str (Wire_runtime.kind_to_string r.transport));
       ("fault", Jsonout.Str r.fault);
+    ]
+
+let dataset_request_to_json r =
+  Jsonout.Obj
+    [
+      ("op", Jsonout.Str "dataset");
+      ("name", Jsonout.Str r.ds_name);
+      ("partition", Jsonout.Str (partition_to_string r.ds_partition));
+      ("protocol", Jsonout.Str (protocol_to_string r.ds_protocol));
+      ("k", Jsonout.Num (float_of_int r.ds_k));
+      ("eps", Jsonout.Num r.ds_eps);
+      ("seed", Jsonout.Num (float_of_int r.ds_seed));
+      ("transport", Jsonout.Str (Wire_runtime.kind_to_string r.ds_transport));
+      ("fault", Jsonout.Str r.ds_fault);
     ]
 
 exception Bad of string
@@ -237,68 +281,62 @@ let enum_field j k of_string default =
       | None -> raise (Bad (Printf.sprintf "unknown %s %S" k s)))
   | Some _ -> raise (Bad (Printf.sprintf "field %S must be a string" k))
 
-let request_of_json j =
-  try
-    let r = default_request in
-    Ok
+(* A fault spec is validated when its request decodes, so a served run
+   never meets a bad one.  [""] skips the parse on the hot path. *)
+let checked_fault spec =
+  if spec = "" then spec
+  else
+    match Fault.parse spec with
+    | Ok _ -> spec
+    | Error msg -> raise (Bad (Printf.sprintf "bad fault spec: %s" msg))
+
+let make_query ~dataset ~name ~family ~partition ~protocol ~n ~d ~k ~eps ~seed ~transport ~fault =
+  if dataset then
+    Dataset
       {
-        family = enum_field j "family" family_of_string r.family;
-        partition = enum_field j "partition" partition_of_string r.partition;
-        protocol = enum_field j "protocol" protocol_of_string r.protocol;
-        n = int_field j "n" r.n;
-        d = num_field j "d" r.d;
-        k = int_field j "k" r.k;
-        eps = num_field j "eps" r.eps;
-        seed = int_field j "seed" r.seed;
-        transport = enum_field j "transport" Wire_runtime.kind_of_string r.transport;
-        fault =
-          (let s = str_field j "fault" r.fault in
-           match Fault.parse s with
-           | Ok _ -> s
-           | Error msg -> raise (Bad (Printf.sprintf "bad fault spec: %s" msg)));
+        ds_name = name;
+        ds_partition = partition;
+        ds_protocol = protocol;
+        ds_k = k;
+        ds_eps = eps;
+        ds_seed = seed;
+        ds_transport = transport;
+        ds_fault = fault;
       }
-  with Bad msg -> Error msg
+  else Generated { family; partition; protocol; n; d; k; eps; seed; transport; fault }
 
-let dataset_request_to_json r =
-  Jsonout.Obj
-    [
-      ("op", Jsonout.Str "dataset");
-      ("name", Jsonout.Str r.ds_name);
-      ("partition", Jsonout.Str (partition_to_string r.ds_partition));
-      ("protocol", Jsonout.Str (protocol_to_string r.ds_protocol));
-      ("k", Jsonout.Num (float_of_int r.ds_k));
-      ("eps", Jsonout.Num r.ds_eps);
-      ("seed", Jsonout.Num (float_of_int r.ds_seed));
-      ("transport", Jsonout.Str (Wire_runtime.kind_to_string r.ds_transport));
-      ("fault", Jsonout.Str r.ds_fault);
-    ]
-
-let dataset_request_of_json j =
+(* One JSON object to a query of the asked-for arm; a missing field takes
+   its default, a dataset [name] is required.  The fields are read in the
+   order that decides which of several bad fields is reported. *)
+let query_of_json ~dataset j =
   try
     let name =
-      match Jsonout.member "name" j with
-      | Some (Jsonout.Str "") -> raise (Bad "dataset name must be non-empty")
-      | Some (Jsonout.Str s) -> s
-      | Some _ -> raise (Bad "field \"name\" must be a string")
-      | None -> raise (Bad "dataset request without a \"name\"")
+      if not dataset then ""
+      else
+        match Jsonout.member "name" j with
+        | Some (Jsonout.Str "") -> raise (Bad "dataset name must be non-empty")
+        | Some (Jsonout.Str s) -> s
+        | Some _ -> raise (Bad "field \"name\" must be a string")
+        | None -> raise (Bad "dataset request without a \"name\"")
     in
-    let r = default_dataset_request ~name in
+    let r = default_request in
+    let fault = checked_fault (str_field j "fault" r.fault) in
+    let transport = enum_field j "transport" Wire_runtime.kind_of_string r.transport in
+    let seed = int_field j "seed" r.seed in
+    let eps = num_field j "eps" r.eps in
+    let k = int_field j "k" r.k in
+    let d = if dataset then r.d else num_field j "d" r.d in
+    let n = if dataset then r.n else int_field j "n" r.n in
+    let protocol = enum_field j "protocol" protocol_of_string r.protocol in
+    let partition = enum_field j "partition" partition_of_string r.partition in
+    let family = if dataset then r.family else enum_field j "family" family_of_string r.family in
     Ok
-      {
-        r with
-        ds_partition = enum_field j "partition" partition_of_string r.ds_partition;
-        ds_protocol = enum_field j "protocol" protocol_of_string r.ds_protocol;
-        ds_k = int_field j "k" r.ds_k;
-        ds_eps = num_field j "eps" r.ds_eps;
-        ds_seed = int_field j "seed" r.ds_seed;
-        ds_transport = enum_field j "transport" Wire_runtime.kind_of_string r.ds_transport;
-        ds_fault =
-          (let s = str_field j "fault" r.ds_fault in
-           match Fault.parse s with
-           | Ok _ -> s
-           | Error msg -> raise (Bad (Printf.sprintf "bad fault spec: %s" msg)));
-      }
+      (make_query ~dataset ~name ~family ~partition ~protocol ~n ~d ~k ~eps ~seed ~transport
+         ~fault)
   with Bad msg -> Error msg
+
+let request_of_json j = Result.map as_generated (query_of_json ~dataset:false j)
+let dataset_request_of_json j = Result.map as_dataset (query_of_json ~dataset:true j)
 
 let response_to_json r =
   let verdict_fields =
@@ -375,6 +413,31 @@ let response_of_json j =
       }
   with Bad msg -> Error msg
 
+let error_obj ~category msg =
+  Jsonout.Obj
+    [
+      ("ok", Jsonout.Bool false);
+      ("error", Jsonout.Str msg);
+      ("category", Jsonout.Str (Metrics.category_name category));
+    ]
+
+let error_line ~category msg = Jsonout.to_line (error_obj ~category msg)
+
+(* A structured [{"ok": false}] reply as its category and message; a
+   missing or unknown category reads as a run failure. *)
+let json_error j =
+  let msg = match Jsonout.member "error" j with Some (Jsonout.Str s) -> s | _ -> "server error" in
+  let category =
+    match Jsonout.member "category" j with
+    | Some (Jsonout.Str c) -> Metrics.category_of_name c
+    | _ -> None
+  in
+  (Option.value ~default:Metrics.Run_failure category, msg)
+
+let batch_request_to_json reqs =
+  Jsonout.Obj
+    [ ("op", Jsonout.Str "batch"); ("requests", Jsonout.List (List.map request_to_json reqs)) ]
+
 (* ------------------------------------------- binary protocol v2 layout *)
 
 (* Protocol v2 carries the same request/reply/batch/stats shapes as the
@@ -387,7 +450,7 @@ let response_of_json j =
 
    Encoding pokes bytes into a caller-owned {!Proto.buf} and decoding
    reads scalars out of a caller-owned {!Proto.cursor}, so the serve hot
-   path allocates nothing per query beyond the decoded request record
+   path allocates little per query beyond the decoded request record
    itself (the micro benchmark holds this to a [Gc.minor_words] budget).
 
    Structural failures (bytes missing, varint overflow) raise the typed
@@ -465,48 +528,62 @@ let category_code category =
 let category_of_code i =
   match List.nth_opt Metrics.all_categories i with Some c -> c | None -> Metrics.Run_failure
 
-(* query body: 4 enum bytes, 3 zigzag ints, 2 f64, the fault spec *)
-let put_request b r =
-  Proto.put_u8 b (family_code r.family);
-  Proto.put_u8 b (partition_code r.partition);
-  Proto.put_u8 b (protocol_code r.protocol);
-  Proto.put_u8 b (transport_code r.transport);
-  Proto.put_zigzag b r.n;
-  Proto.put_zigzag b r.k;
-  Proto.put_zigzag b r.seed;
-  Proto.put_f64 b r.d;
-  Proto.put_f64 b r.eps;
-  Proto.put_string b r.fault
+(* A generated query body: 4 enum bytes, 3 zigzag ints (n, k, seed), 2 f64
+   (d, eps), the fault spec.  A dataset body: the registered name, 3 enum
+   bytes, 2 zigzag ints (k, seed), 1 f64 (eps), the fault spec. *)
+let put_query b q =
+  (match q with
+  | Generated r -> Proto.put_u8 b (family_code r.family)
+  | Dataset d -> Proto.put_string b d.ds_name);
+  Proto.put_u8 b (partition_code (partition_of q));
+  Proto.put_u8 b (protocol_code (protocol_of q));
+  Proto.put_u8 b (transport_code (transport_of q));
+  (match q with Generated r -> Proto.put_zigzag b r.n | Dataset _ -> ());
+  Proto.put_zigzag b (k_of q);
+  Proto.put_zigzag b (seed_of q);
+  (match q with Generated r -> Proto.put_f64 b r.d | Dataset _ -> ());
+  Proto.put_f64 b (eps_of q);
+  Proto.put_string b (fault_of q)
+
+(* Smallest generated query body: four enum bytes, three one-byte varints,
+   two floats and an empty fault string — what bounds a batch count. *)
+let min_query_bytes = 24
+
+let code what of_code c =
+  match of_code c with
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "unknown %s code %d" what c))
 
 (* Structural reads happen unconditionally (a failure raises and fails the
    whole frame); the semantic checks return [Error] so a bad enum code or
    fault spec is a per-request malformed reply, exactly like its JSON
-   twin.  The [""] fast path keeps the no-fault hot query from paying a
-   [Fault.parse]. *)
-let decode_request_body cur =
-  let family_c = Proto.get_u8 cur in
+   twin. *)
+let decode_query ~dataset cur =
+  let name = if dataset then Proto.get_string cur else "" in
+  let family_c = if dataset then 0 else Proto.get_u8 cur in
   let partition_c = Proto.get_u8 cur in
   let protocol_c = Proto.get_u8 cur in
   let transport_c = Proto.get_u8 cur in
-  let n = Proto.get_zigzag cur in
+  let n = if dataset then 0 else Proto.get_zigzag cur in
   let k = Proto.get_zigzag cur in
   let seed = Proto.get_zigzag cur in
-  let d = Proto.get_f64 cur in
+  let d = if dataset then 0.0 else Proto.get_f64 cur in
   let eps = Proto.get_f64 cur in
   let fault = Proto.get_string cur in
-  match (family_of_code family_c, partition_of_code partition_c, protocol_of_code protocol_c,
-         transport_of_code transport_c)
-  with
-  | Some family, Some partition, Some protocol, Some transport ->
-      if fault = "" then Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
-      else (
-        match Fault.parse fault with
-        | Ok _ -> Ok { family; partition; protocol; n; d; k; eps; seed; transport; fault }
-        | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg))
-  | None, _, _, _ -> Error (Printf.sprintf "unknown family code %d" family_c)
-  | _, None, _, _ -> Error (Printf.sprintf "unknown partition code %d" partition_c)
-  | _, _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
-  | _, _, _, None -> Error (Printf.sprintf "unknown transport code %d" transport_c)
+  try
+    if dataset && name = "" then raise (Bad "dataset name must be non-empty");
+    let family = code "family" family_of_code family_c in
+    let partition = code "partition" partition_of_code partition_c in
+    let protocol = code "protocol" protocol_of_code protocol_c in
+    let transport = code "transport" transport_of_code transport_c in
+    let fault = checked_fault fault in
+    Ok
+      (make_query ~dataset ~name ~family ~partition ~protocol ~n ~d ~k ~eps ~seed ~transport
+         ~fault)
+  with Bad msg -> Error msg
+
+let decode_request_body cur = Result.map as_generated (decode_query ~dataset:false cur)
+let decode_dataset_request_body cur = Result.map as_dataset (decode_query ~dataset:true cur)
 
 (* reply body: verdict (+ witness), the counters, the reconciled wire report *)
 let put_response b r =
@@ -564,119 +641,11 @@ let decode_response_body cur =
       };
   }
 
-let encode_query_frame b r =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_query;
-  put_request b r;
-  Proto.end_frame b
-
-let encode_response_frame b r =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_reply;
-  put_response b r;
-  Proto.end_frame b
-
-let encode_error_frame b ~category msg =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_error;
-  Proto.put_u8 b (category_code category);
-  Proto.put_string b msg;
-  Proto.end_frame b
-
-let encode_batch_frame b reqs =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_batch;
-  Proto.put_varint b (List.length reqs);
-  List.iter (fun r -> put_request b r) reqs;
-  Proto.end_frame b
-
-(* The all-ok batch reply, byte-identical to what [handle_frame] writes
-   when every item serves — the load generator re-encodes expected replies
-   with this to account the server's per-version byte gauge exactly. *)
-let encode_batch_reply_frame b resps =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_batch_reply;
-  Proto.put_varint b (List.length resps);
-  List.iter
-    (fun resp ->
-      Proto.put_u8 b tag_reply;
-      put_response b resp)
-    resps;
-  Proto.end_frame b
-
-let encode_stats_frame b =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_stats;
-  Proto.end_frame b
-
-let encode_health_frame b =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_health;
-  Proto.end_frame b
-
-let encode_shutdown_frame b =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_shutdown;
-  Proto.end_frame b
-
-(* dataset query body: the registered name, 3 enum bytes, 2 zigzag ints,
-   1 f64, the fault spec — the binary twin of the {"op": "dataset"} line *)
-let put_dataset_request b r =
-  Proto.put_string b r.ds_name;
-  Proto.put_u8 b (partition_code r.ds_partition);
-  Proto.put_u8 b (protocol_code r.ds_protocol);
-  Proto.put_u8 b (transport_code r.ds_transport);
-  Proto.put_zigzag b r.ds_k;
-  Proto.put_zigzag b r.ds_seed;
-  Proto.put_f64 b r.ds_eps;
-  Proto.put_string b r.ds_fault
-
-let decode_dataset_request_body cur =
-  let name = Proto.get_string cur in
-  let partition_c = Proto.get_u8 cur in
-  let protocol_c = Proto.get_u8 cur in
-  let transport_c = Proto.get_u8 cur in
-  let k = Proto.get_zigzag cur in
-  let seed = Proto.get_zigzag cur in
-  let eps = Proto.get_f64 cur in
-  let fault = Proto.get_string cur in
-  if name = "" then Error "dataset name must be non-empty"
-  else
-    match (partition_of_code partition_c, protocol_of_code protocol_c, transport_of_code transport_c)
-    with
-    | Some partition, Some protocol, Some transport ->
-        let r =
-          {
-            ds_name = name;
-            ds_partition = partition;
-            ds_protocol = protocol;
-            ds_k = k;
-            ds_eps = eps;
-            ds_seed = seed;
-            ds_transport = transport;
-            ds_fault = fault;
-          }
-        in
-        if fault = "" then Ok r
-        else (
-          match Fault.parse fault with
-          | Ok _ -> Ok r
-          | Error msg -> Error (Printf.sprintf "bad fault spec: %s" msg))
-    | None, _, _ -> Error (Printf.sprintf "unknown partition code %d" partition_c)
-    | _, None, _ -> Error (Printf.sprintf "unknown protocol code %d" protocol_c)
-    | _, _, None -> Error (Printf.sprintf "unknown transport code %d" transport_c)
-
-let encode_dataset_frame b r =
-  Proto.begin_frame b;
-  Proto.put_u8 b tag_dataset;
-  put_dataset_request b r;
-  Proto.end_frame b
-
 (* ------------------------------------------------- the instance cache *)
 
-(* The fields of a request that determine the instance and its partition —
+(* The fields of a query that determine the instance and its partition —
    and nothing else.  Protocol, transport and fault spec are deliberately
-   absent: two requests that differ only in how the instance is *queried*
+   absent: two queries that differ only in how the instance is *queried*
    share the cached build.  A dataset-backed instance is keyed by its
    registered name instead of the generator fields.  Correctness of sharing
    rests on the graph and the partition being derived from independent
@@ -704,26 +673,29 @@ type instance_cache = (instance_key, Graph.t * Partition.t) Lru.t
 
 let create_cache ?(capacity = 32) () : instance_cache = Lru.create capacity
 
-let key_of_request req =
-  Key_generated
-    {
-      key_family = req.family;
-      key_partition = req.partition;
-      key_n = req.n;
-      key_d = req.d;
-      key_k = req.k;
-      key_eps = req.eps;
-      key_seed = req.seed;
-    }
+let key_of_query = function
+  | Generated r ->
+      Key_generated
+        {
+          key_family = r.family;
+          key_partition = r.partition;
+          key_n = r.n;
+          key_d = r.d;
+          key_k = r.k;
+          key_eps = r.eps;
+          key_seed = r.seed;
+        }
+  | Dataset d ->
+      Key_dataset
+        {
+          key_name = d.ds_name;
+          key_ds_partition = d.ds_partition;
+          key_ds_k = d.ds_k;
+          key_ds_seed = d.ds_seed;
+        }
 
-let key_of_dataset_request dreq =
-  Key_dataset
-    {
-      key_name = dreq.ds_name;
-      key_ds_partition = dreq.ds_partition;
-      key_ds_k = dreq.ds_k;
-      key_ds_seed = dreq.ds_seed;
-    }
+let key_of_request r = key_of_query (Generated r)
+let key_of_dataset_request d = key_of_query (Dataset d)
 
 (* ------------------------------------------------------- fleet sharding *)
 
@@ -754,10 +726,8 @@ let shard_key key =
   (!h lxor (!h lsr 16)) land 0x3FFFFFFF
 
 let shard_of_key ~workers key = if workers <= 1 then 0 else shard_key key mod workers
-let shard_of_request ~workers req = shard_of_key ~workers (key_of_request req)
-
-let shard_of_dataset_request ~workers dreq =
-  shard_of_key ~workers (key_of_dataset_request dreq)
+let shard_of_request ~workers r = shard_of_key ~workers (key_of_request r)
+let shard_of_dataset_request ~workers d = shard_of_key ~workers (key_of_dataset_request d)
 
 (* The shard socket of fleet worker [i] under a fleet at [path]. *)
 let worker_path ~path i = Printf.sprintf "%s.w%d" path i
@@ -770,42 +740,32 @@ let worker_path ~path i = Printf.sprintf "%s.w%d" path i
 let graph_rng seed = Rng.create seed
 let partition_rng seed = Rng.create (seed lxor 0x7ea5eed)
 
-let build_pair req =
-  let g = build_instance req.family (graph_rng req.seed) ~n:req.n ~d:req.d ~eps:req.eps in
-  let inputs = build_partition req.partition (partition_rng req.seed) ~k:req.k g in
-  (g, inputs)
+(* Build a query's instance: a generated graph from {!graph_rng}, or the
+   registry's memoized load (shared across every connection of the
+   daemon); the partition always from {!partition_rng}. *)
+let build_pair ?registry q =
+  let g =
+    match (q, registry) with
+    | Generated r, _ -> build_instance r.family (graph_rng r.seed) ~n:r.n ~d:r.d ~eps:r.eps
+    | Dataset d, Some reg -> Registry.graph reg d.ds_name
+    | Dataset _, None -> invalid_arg "Service: a dataset query needs a registry"
+  in
+  (g, build_partition (partition_of q) (partition_rng (seed_of q)) ~k:(k_of q) g)
 
-(* The cached instance/partition pair for [req], built on a miss.  Each call
+(* The cached instance/partition pair for [q], built on a miss.  Each call
    is one counted lookup; [metrics] mirrors the hit/miss into the server
    registry so [{"op": "stats"}] can report it. *)
-let instance_pair ?cache ?metrics req =
+let query_pair ?cache ?metrics ?registry q =
   match cache with
-  | None -> build_pair req
+  | None -> build_pair ?registry q
   | Some c ->
-      let key = key_of_request req in
+      let key = key_of_query q in
       let hit = Lru.mem c key in
       (match metrics with Some m -> Metrics.record_cache m ~hit | None -> ());
-      Lru.find_or_add c key (fun () -> build_pair req)
+      Lru.find_or_add c key (fun () -> build_pair ?registry q)
 
-(* The dataset twin: the graph is the registry's memoized load (shared
-   across every connection of the daemon), only the partition is built —
-   from the same [partition_rng] stream a generated request of this seed
-   would use. *)
-let dataset_pair ?cache ?metrics ~registry dreq =
-  let build () =
-    let g = Tfree_dataset.Registry.graph registry dreq.ds_name in
-    let inputs =
-      build_partition dreq.ds_partition (partition_rng dreq.ds_seed) ~k:dreq.ds_k g
-    in
-    (g, inputs)
-  in
-  match cache with
-  | None -> build ()
-  | Some c ->
-      let key = key_of_dataset_request dreq in
-      let hit = Lru.mem c key in
-      (match metrics with Some m -> Metrics.record_cache m ~hit | None -> ());
-      Lru.find_or_add c key build
+let instance_pair ?cache ?metrics r = query_pair ?cache ?metrics (Generated r)
+let dataset_pair ?cache ?metrics ~registry d = query_pair ?cache ?metrics ~registry (Dataset d)
 
 (* -------------------------------------------------- serve observability *)
 
@@ -868,19 +828,15 @@ let maybe_slow_query ~latency_us fields =
 
 (* ---------------------------------------------------------- run a query *)
 
-(** Build the requested instance, run the requested protocol over a wire
-    network, reconcile.  The whole execution is deterministic in the
-    request's seed (and fault spec) — with or without [cache], whose hits
-    return the identical graph/partition a rebuild would produce.  The
-    network is closed even when an injected fault aborts the run, so a
-    chaos loop cannot leak descriptors. *)
-(* The protocol run itself, shared by the generated and dataset paths so
-   the two can never drift: same network, same params, same report shape.
+(* The protocol run itself: a fresh wire network under the query's fault
+   schedule, the query's protocol over [inputs], the reconciled report.
    [trace] additionally routes every protocol message into a sampled
    request timeline (composed before the wire tap, so the ledger the wire
-   reconciles against is untouched). *)
-let run_protocol ?trace ~protocol ~seed ~eps ~transport ~fault ~k g inputs =
-  let net = Wire_runtime.create ~fault ~transport ~k () in
+   reconciles against is untouched).  The network is closed even when an
+   injected fault aborts the run, so a chaos loop cannot leak
+   descriptors. *)
+let run_protocol ?trace ~fault q g inputs =
+  let net = Wire_runtime.create ~fault ~transport:(transport_of q) ~k:(k_of q) () in
   Fun.protect
     ~finally:(fun () -> Wire_runtime.close net)
     (fun () ->
@@ -889,9 +845,10 @@ let run_protocol ?trace ~protocol ~seed ~eps ~transport ~fault ~k g inputs =
         | None -> Wire_runtime.tap net
         | Some tr -> Tfree_comm.Channel.compose_all [ Trace.tap tr; Wire_runtime.tap net ]
       in
-      let params = Tfree.Params.(with_eps practical eps) in
+      let seed = seed_of q in
+      let params = Tfree.Params.(with_eps practical (eps_of q)) in
       let report =
-        match protocol with
+        match protocol_of q with
         | Unrestricted -> Tfree.Tester.unrestricted ~tap ~seed params inputs
         | Sim -> Tfree.Tester.simultaneous ~tap ~seed params ~d:(Graph.avg_degree g) inputs
         | Oblivious -> Tfree.Tester.simultaneous_oblivious ~tap ~seed params inputs
@@ -906,40 +863,432 @@ let run_protocol ?trace ~protocol ~seed ~eps ~transport ~fault ~k g inputs =
         wire;
       })
 
-let parse_fault_spec ~who spec =
-  match Fault.parse spec with
-  | Ok s -> s
-  | Error msg -> invalid_arg (Printf.sprintf "%s: bad fault spec: %s" who msg)
+(* A sampled trace only accounts clean runs: an injected fault aborts
+   mid-protocol and would leave a half timeline. *)
+let traced q = Option.is_some !Obs_ctx.trace && fault_of q = ""
 
-let run_request ?cache ?metrics req =
-  let fault = parse_fault_spec ~who:"run_request" req.fault in
-  let g, inputs = instance_pair ?cache ?metrics req in
-  run_protocol ~protocol:req.protocol ~seed:req.seed ~eps:req.eps ~transport:req.transport ~fault
-    ~k:req.k g inputs
+(* Look up the instance, run the protocol, reconcile — deterministic in
+   the query's seed and fault spec, with or without [cache].  [timed]
+   records the lookup and the run as serve phases into [metrics]. *)
+let execute ~timed ?cache ?metrics ?registry q =
+  let phase p f =
+    match metrics with Some metrics when timed -> timed_phase ~metrics p f | _ -> f ()
+  in
+  let fault =
+    match Fault.parse (fault_of q) with
+    | Ok s -> s
+    | Error msg -> invalid_arg (Printf.sprintf "Service: bad fault spec: %s" msg)
+  in
+  let g, inputs = phase Phase.Cache_lookup (fun () -> query_pair ?cache ?metrics ?registry q) in
+  let trace = if traced q then !Obs_ctx.trace else None in
+  phase Phase.Run (fun () -> run_protocol ?trace ~fault q g inputs)
 
-(* Run a protocol over a registered dataset.  Byte-identical to the
-   generated path when the dataset was generated with the same seed and
-   family parameters: the registry hands back the exact graph
-   {!graph_rng} would build, and partition/protocol derive from the same
-   streams a generated request uses.
-   @raise Dataset_error on an unknown name or a failing load. *)
-let run_dataset_request ?cache ?metrics ~registry dreq =
-  let fault = parse_fault_spec ~who:"run_dataset_request" dreq.ds_fault in
-  let g, inputs = dataset_pair ?cache ?metrics ~registry dreq in
-  run_protocol ~protocol:dreq.ds_protocol ~seed:dreq.ds_seed ~eps:dreq.ds_eps
-    ~transport:dreq.ds_transport ~fault ~k:dreq.ds_k g inputs
+let run_request ?cache ?metrics r = execute ~timed:false ?cache ?metrics (Generated r)
 
-(* ------------------------------------------------------- line transport *)
+let run_dataset_request ?cache ?metrics ~registry d =
+  execute ~timed:false ?cache ?metrics ~registry (Dataset d)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+(* Run one served query, record it, and classify the outcome, whichever
+   codec carried it.  [version] is the wire protocol of the serving
+   connection, feeding the per-version served gauge.  [Ok resp] counts as
+   one served query (the unit the [max_requests] budget measures);
+   [Error (category, msg)] was already recorded under its category.  A
+   typed dataset failure (the file vanished or rotted under the manifest)
+   keeps its own message under [Run_failure] — the request was
+   well-formed, the server's data was not. *)
+let run_core ?cache ?registry ~metrics ~version q =
+  let t0 = Mono.now_us () in
+  let failed category msg =
+    Metrics.record_error metrics ~category;
+    Error (category, msg)
+  in
+  match execute ~timed:true ?cache ~metrics ?registry q with
+  | resp ->
+      let protocol = protocol_to_string (protocol_of q) in
+      Metrics.record_query ~version metrics ~protocol
+        ~found_triangle:
+          (match resp.verdict with
+          | Tfree.Tester.Triangle _ -> true
+          | Tfree.Tester.Triangle_free -> false)
+        ~wire_bytes:resp.wire.Wire_runtime.wire_bytes
+        ~accounted_bits:resp.wire.Wire_runtime.accounted_bits
+        ~latency_us:(Mono.now_us () -. t0);
+      (match q with
+      | Dataset d -> Metrics.record_dataset metrics ~name:d.ds_name
+      | Generated _ -> ());
+      if traced q then
+        Obs_ctx.traced_bits := !Obs_ctx.traced_bits + resp.wire.Wire_runtime.accounted_bits;
+      let num v = Jsonout.Num (float_of_int v) in
+      maybe_slow_query
+        ~latency_us:(Mono.now_us () -. t0)
+        ((("protocol", Jsonout.Str protocol)
+         ::
+         (match q with
+         | Generated r ->
+             [
+               ("family", Jsonout.Str (family_to_string r.family));
+               ("partition", Jsonout.Str (partition_to_string r.partition));
+               ("n", num r.n);
+             ]
+         | Dataset d -> [ ("dataset", Jsonout.Str d.ds_name) ]))
+        @ [ ("k", num (k_of q)); ("seed", num (seed_of q)) ]);
+      Ok resp
+  | exception Wire_error.Wire_error k ->
+      failed
+        (Option.value ~default:Metrics.Run_failure
+           (Metrics.category_of_name (Wire_error.category k)))
+        (Wire_error.message k)
+  | exception Tfree_dataset.Dataset_error.Dataset_error kind ->
+      failed Metrics.Run_failure ("dataset: " ^ Tfree_dataset.Dataset_error.message kind)
+  | exception e -> failed Metrics.Run_failure (Printexc.to_string e)
+
+(* ---------------------------------------------- ops, replies and codecs *)
+
+(* Every exchange, as both ends see it.  A batch carries ['item] per
+   element: a request when a client sends it, a decoded request or its
+   per-item error when the server receives it. *)
+type 'item op =
+  | Op_query of query
+  | Op_batch of 'item list
+  | Op_stats
+  | Op_health
+  | Op_shutdown
+
+(* Every answer the server can give, whichever codec carries it. *)
+type reply =
+  | R_response of response
+  | R_error of (Metrics.error_category * string)
+  | R_batch of (response, Metrics.error_category * string) result list
+  | R_stats of Jsonout.t
+  | R_health of Jsonout.t
+  | R_bye
+
+let no_registry = "no dataset registry configured"
+
+(* One request line to an op.  [datasets] is whether the server has a
+   registry: without one, a dataset line is refused before its fields
+   are read.  A batch item must be a plain query; one carrying an ["op"]
+   is that item's malformed error. *)
+let op_of_line ~datasets line =
+  let malformed msg = Error (Metrics.Malformed, msg) in
+  let query ~dataset j =
+    match query_of_json ~dataset j with Ok q -> Ok (Op_query q) | Error msg -> malformed msg
+  in
+  let batch_item item =
+    if Option.is_some (Jsonout.member "op" item) then
+      Error "a batch item is a plain query and takes no \"op\""
+    else request_of_json item
+  in
+  match Jsonout.parse line with
+  | Error msg -> malformed ("bad JSON: " ^ msg)
+  | Ok j -> (
+      match (Jsonout.member "cmd" j, Jsonout.member "op" j) with
+      | Some (Jsonout.Str "shutdown"), _ -> Ok Op_shutdown
+      | Some (Jsonout.Str c), _ -> malformed (Printf.sprintf "unknown command %S" c)
+      | Some _, _ -> malformed "cmd must be a string"
+      | None, Some (Jsonout.Str "stats") -> Ok Op_stats
+      | None, Some (Jsonout.Str "health") -> Ok Op_health
+      | None, Some (Jsonout.Str "batch") -> (
+          match Jsonout.member "requests" j with
+          | Some (Jsonout.List items) -> Ok (Op_batch (List.map batch_item items))
+          | Some _ -> malformed "batch field \"requests\" must be a list"
+          | None -> malformed "batch without a \"requests\" list")
+      | None, Some (Jsonout.Str "dataset") ->
+          if datasets then query ~dataset:true j else Error (Metrics.Unknown_op, no_registry)
+      | None, Some (Jsonout.Str o) -> Error (Metrics.Unknown_op, Printf.sprintf "unknown op %S" o)
+      | None, Some _ -> malformed "op must be a string"
+      | None, None -> query ~dataset:false j)
+
+(* One frame body ([cur] covers the tag onward) to an op.  The whole
+   frame decodes before anything runs: a frame that passed its checksum
+   but whose layout is garbled — a count the body cannot hold, bytes
+   missing, bytes left over — is one malformed error, and the connection
+   stays usable because the frame boundary is known.  A batch item with a
+   bad enum code or fault spec is that item's error.  [parse] wraps the
+   decode of a query or batch body (the server times it as the Parse
+   phase); stats, health and shutdown frames carry no body to parse. *)
+let op_of_frame ~parse cur =
+  try
+    let tag = Proto.get_u8 cur in
+    let op =
+      if tag = tag_query || tag = tag_dataset then
+        parse (fun () ->
+            match decode_query ~dataset:(tag = tag_dataset) cur with
+            | Ok q -> Ok (Op_query q)
+            | Error msg -> Error (Metrics.Malformed, msg))
+      else if tag = tag_batch then
+        parse (fun () ->
+            let count = Proto.get_varint cur in
+            if count > Proto.remaining cur / min_query_bytes then
+              Wire_error.errorf_corrupt "batch of %d items cannot fit a %d-byte body" count
+                (Proto.remaining cur);
+            Ok (Op_batch (List.init count (fun _ -> decode_request_body cur))))
+      else if tag = tag_stats then Ok Op_stats
+      else if tag = tag_health then Ok Op_health
+      else if tag = tag_shutdown then Ok Op_shutdown
+      else Error (Metrics.Unknown_op, Printf.sprintf "unknown frame tag %d" tag)
+    in
+    if Result.is_ok op then Proto.expect_end cur;
+    op
+  with Wire_error.Wire_error k -> Error (Metrics.Malformed, "bad frame: " ^ Wire_error.message k)
+
+(* The request side of v2: one sealed frame per op. *)
+let encode_op_frame b op =
+  Proto.begin_frame b;
+  (match op with
+  | Op_query q ->
+      Proto.put_u8 b (match q with Generated _ -> tag_query | Dataset _ -> tag_dataset);
+      put_query b q
+  | Op_batch reqs ->
+      Proto.put_u8 b tag_batch;
+      Proto.put_varint b (List.length reqs);
+      List.iter (fun r -> put_query b (Generated r)) reqs
+  | Op_stats -> Proto.put_u8 b tag_stats
+  | Op_health -> Proto.put_u8 b tag_health
+  | Op_shutdown -> Proto.put_u8 b tag_shutdown);
+  Proto.end_frame b
+
+let op_line op =
+  Jsonout.to_line
+    (match op with
+    | Op_query (Generated r) -> request_to_json r
+    | Op_query (Dataset d) -> dataset_request_to_json d
+    | Op_batch reqs -> batch_request_to_json reqs
+    | Op_stats -> Jsonout.Obj [ ("op", Jsonout.Str "stats") ]
+    | Op_health -> Jsonout.Obj [ ("op", Jsonout.Str "health") ]
+    | Op_shutdown -> Jsonout.Obj [ ("cmd", Jsonout.Str "shutdown") ])
+
+(* Encoding one served response is the Encode phase when [metrics] is
+   given (the server); clients and benchmarks encode untimed. *)
+let encoding ?metrics f =
+  match metrics with Some metrics -> timed_phase ~metrics Phase.Encode f | None -> f ()
+
+(* One served response or per-item error, in each codec. *)
+let json_item ?metrics = function
+  | Ok resp -> encoding ?metrics (fun () -> response_to_json resp)
+  | Error (category, msg) -> error_obj ~category msg
+
+let put_item ?metrics b = function
+  | Ok resp ->
+      encoding ?metrics (fun () ->
+          Proto.put_u8 b tag_reply;
+          put_response b resp)
+  | Error (category, msg) ->
+      Proto.put_u8 b tag_error;
+      Proto.put_u8 b (category_code category);
+      Proto.put_string b msg
+
+let reply_to_json ?metrics reply =
+  let ok fields = Jsonout.Obj (("ok", Jsonout.Bool true) :: fields) in
+  match reply with
+  | R_response resp -> json_item ?metrics (Ok resp)
+  | R_error e -> json_item (Error e)
+  | R_batch items ->
+      ok
+        [
+          ("count", Jsonout.Num (float_of_int (List.length items)));
+          ("results", Jsonout.List (List.map (json_item ?metrics) items));
+        ]
+  | R_stats j -> ok [ ("stats", j) ]
+  | R_health j -> ok [ ("health", j) ]
+  | R_bye -> ok [ ("bye", Jsonout.Bool true) ]
+
+let encode_reply_frame ?metrics b reply =
+  Proto.begin_frame b;
+  (match reply with
+  | R_response resp -> put_item ?metrics b (Ok resp)
+  | R_error e -> put_item b (Error e)
+  | R_batch items ->
+      Proto.put_u8 b tag_batch_reply;
+      Proto.put_varint b (List.length items);
+      List.iter (put_item ?metrics b) items
+  | R_stats j ->
+      Proto.put_u8 b tag_stats_reply;
+      Proto.put_string b (Jsonout.to_string j)
+  | R_health j ->
+      Proto.put_u8 b tag_health_reply;
+      Proto.put_string b (Jsonout.to_string j)
+  | R_bye -> Proto.put_u8 b tag_bye);
+  Proto.end_frame b
+
+let encode_query_frame b r = encode_op_frame b (Op_query (Generated r))
+let encode_dataset_frame b d = encode_op_frame b (Op_query (Dataset d))
+let encode_batch_frame b reqs = encode_op_frame b (Op_batch reqs)
+let encode_response_frame b r = encode_reply_frame b (R_response r)
+
+(* The all-ok batch reply, byte-identical to what the server writes when
+   every item serves — the load generator re-encodes expected replies
+   with this to account the server's per-version byte gauge exactly. *)
+let encode_batch_reply_frame b resps = encode_reply_frame b (R_batch (List.map Result.ok resps))
+
+(* A v2 reply frame back to a reply; a garbled layout raises. *)
+let reply_of_frame cur =
+  let json what s =
+    match Jsonout.parse s with
+    | Ok j -> j
+    | Error msg -> Wire_error.errorf_corrupt "bad %s JSON in frame: %s" what msg
+  in
+  let error () =
+    let category = category_of_code (Proto.get_u8 cur) in
+    (category, Proto.get_string cur)
+  in
+  let tag = Proto.get_u8 cur in
+  let reply =
+    if tag = tag_reply then R_response (decode_response_body cur)
+    else if tag = tag_error then R_error (error ())
+    else if tag = tag_batch_reply then
+      R_batch
+        (List.init (Proto.get_varint cur) (fun _ ->
+             let sub = Proto.get_u8 cur in
+             if sub = tag_reply then Ok (decode_response_body cur)
+             else if sub = tag_error then Error (error ())
+             else Wire_error.errorf_corrupt "unknown batch item tag %d" sub))
+    else if tag = tag_stats_reply then R_stats (json "stats" (Proto.get_string cur))
+    else if tag = tag_health_reply then R_health (json "health" (Proto.get_string cur))
+    else if tag = tag_bye then R_bye
+    else Wire_error.errorf_corrupt "unknown reply tag %d" tag
+  in
+  Proto.expect_end cur;
+  reply
+
+(* A v1 reply line (already parsed) back to the reply [op] asked for. *)
+let reply_of_json op j =
+  let field name wrap =
+    match Jsonout.member name j with
+    | Some v -> Ok (wrap v)
+    | None -> Error (Printf.sprintf "%s reply without %s" name name)
+  in
+  let item j =
+    match Jsonout.member "ok" j with
+    | Some (Jsonout.Bool false) -> Error (json_error j)
+    | _ ->
+        Result.map_error
+          (fun msg -> (Metrics.Malformed, "garbled batch item: " ^ msg))
+          (response_of_json j)
+  in
+  match (Jsonout.member "ok" j, op) with
+  | Some (Jsonout.Bool false), _ -> Ok (R_error (json_error j))
+  | _, Op_query _ -> Result.map (fun r -> R_response r) (response_of_json j)
+  | _, Op_batch _ -> (
+      match Jsonout.member "results" j with
+      | Some (Jsonout.List items) -> Ok (R_batch (List.map item items))
+      | _ -> Error "batch reply without results")
+  | _, Op_stats -> field "stats" (fun s -> R_stats s)
+  | _, Op_health -> field "health" (fun h -> R_health h)
+  | _, Op_shutdown -> Ok R_bye
+
+(* ------------------------------------------------------------- dispatch *)
+
+(* The [{"op": "health"}] payload: the registry's O(1) scalars plus the
+   instance cache's occupancy — no verdict/dataset table walk, no
+   histogram walk, so a prober's poll never contends with serving. *)
+let health_payload ?cache metrics =
+  let entries, capacity =
+    match cache with Some c -> (Lru.length c, Lru.capacity c) | None -> (0, 0)
+  in
+  match Metrics.health_json metrics with
+  | Jsonout.Obj fields ->
+      Jsonout.Obj
+        (fields
+        @ [
+            ( "cache",
+              Jsonout.Obj
+                [
+                  ("entries", Jsonout.Num (float_of_int entries));
+                  ("capacity", Jsonout.Num (float_of_int capacity));
+                ] );
+          ])
+  | j -> j
+
+(* Fleet delegation hooks: a fleet worker's stats/health ops must
+   describe the whole fleet, not one shard, so the dispatcher lets the
+   fleet layer substitute those two payloads.  [None] from a hook (the
+   parent was unreachable) degrades to the local registry — a stats query
+   never errors because the control channel hiccupped. *)
+type serve_hooks = {
+  hook_stats : unit -> Jsonout.t option;
+  hook_health : unit -> Jsonout.t option;
+}
+
+(* One decoded request unit to its reply and how many protocol queries it
+   served (the unit the [max_requests] budget and the served counter
+   measure — 0 or 1 for a plain query, up to the item count for a batch).
+   Every failure — a request that failed to decode, a dataset the server
+   does not hold, a run that raised — becomes a categorized [R_error]
+   recorded under that category; a wire fault surfacing from the run keeps
+   its own category (timeout/transport) so an operator can tell chaos from
+   bad input.  Inside a batch, failures are per-item: each element is
+   exactly the reply the query would have gotten on its own. *)
+let dispatch ?cache ?registry ?hooks ~metrics ~stop ~version decoded =
+  let reject (category, msg) =
+    Metrics.record_error metrics ~category;
+    (R_error (category, msg), 0)
+  in
+  let payload hook local =
+    match Option.bind hooks (fun h -> hook h ()) with Some j -> j | None -> local ()
+  in
+  match decoded with
+  | Error e -> reject e
+  | Ok (Op_query q) -> (
+      match (q, registry) with
+      | Dataset _, None -> reject (Metrics.Unknown_op, no_registry)
+      | Dataset d, Some reg when Registry.find reg d.ds_name = None ->
+          reject (Metrics.Malformed, Printf.sprintf "unknown dataset %S" d.ds_name)
+      | _ -> (
+          match run_core ?cache ?registry ~metrics ~version q with
+          | Ok resp -> (R_response resp, 1)
+          | Error e -> (R_error e, 0)))
+  | Ok (Op_batch items) ->
+      Metrics.record_batch metrics ~items:(List.length items);
+      let results =
+        List.map
+          (function
+            | Ok r -> run_core ?cache ~metrics ~version (Generated r)
+            | Error msg ->
+                Metrics.record_error metrics ~category:Metrics.Malformed;
+                Error (Metrics.Malformed, msg))
+          items
+      in
+      (R_batch results, List.length (List.filter Result.is_ok results))
+  | Ok Op_stats ->
+      (R_stats (payload (fun h -> h.hook_stats) (fun () -> Metrics.to_json metrics)), 0)
+  | Ok Op_health ->
+      (R_health (payload (fun h -> h.hook_health) (fun () -> health_payload ?cache metrics)), 0)
+  | Ok Op_shutdown ->
+      stop := true;
+      (R_bye, 0)
+
+(* One request line to one reply line; sets [stop] on a shutdown command.
+   Decoding the line is the Parse phase. *)
+let handle_line ?cache ?registry ?hooks ~metrics ~stop ?(version = 1) line =
+  let decoded =
+    timed_phase ~metrics Phase.Parse (fun () ->
+        op_of_line ~datasets:(Option.is_some registry) line)
+  in
+  let reply, served = dispatch ?cache ?registry ?hooks ~metrics ~stop ~version decoded in
+  (Jsonout.to_line (reply_to_json ~metrics reply), served)
+
+(* One v2 frame body to one sealed reply frame in [b]; the same contract
+   as [handle_line]. *)
+let handle_frame ?cache ?registry ?hooks ~metrics ~stop ~version b cur =
+  let decoded = op_of_frame ~parse:(timed_phase ~metrics Phase.Parse) cur in
+  let reply, served = dispatch ?cache ?registry ?hooks ~metrics ~stop ~version decoded in
+  encode_reply_frame ~metrics b reply;
+  served
+
+(* ------------------------------------------------------- byte transport *)
+
+let write_bytes fd data off len =
   let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write fd b !sent (n - !sent)
+  while !sent < len do
+    sent := !sent + Unix.write fd data (off + !sent) (len - !sent)
   done
 
-let write_line fd s = write_all fd (s ^ "\n")
+let write_string fd s = write_bytes fd (Bytes.unsafe_of_string s) 0 (String.length s)
+let write_line fd s = write_string fd (s ^ "\n")
+
+(* Write the sealed frame currently held by [b]. *)
+let write_frame fd b = write_bytes fd (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b)
 
 type line_read =
   | Line of string  (** a complete newline-terminated line *)
@@ -978,483 +1327,70 @@ let read_line_deadline fd ~deadline =
   in
   loop ()
 
-let error_obj ~category msg =
-  Jsonout.Obj
-    [
-      ("ok", Jsonout.Bool false);
-      ("error", Jsonout.Str msg);
-      ("category", Jsonout.Str (Metrics.category_name category));
-    ]
+(* An encoded reply ready to write: [len] bytes of [data] from [off].  A
+   [Corrupt] fault flips a bit inside [flip_off, flip_end) only — a line's
+   body before its newline, a frame's body and checksum after its length
+   varint — so the reply stays delimited and the client reads a whole
+   unit that fails to parse or to checksum. *)
+type outgoing = { data : Bytes.t; off : int; len : int; flip_off : int; flip_end : int }
 
-let error_line ~category msg = Jsonout.to_line (error_obj ~category msg)
+let line_out s =
+  let n = String.length s in
+  let data = Bytes.create (n + 1) in
+  Bytes.blit_string s 0 data 0 n;
+  Bytes.set data n '\n';
+  { data; off = 0; len = n + 1; flip_off = 0; flip_end = n }
 
-let batch_request_to_json reqs =
-  Jsonout.Obj
-    [ ("op", Jsonout.Str "batch"); ("requests", Jsonout.List (List.map request_to_json reqs)) ]
-
-(* Run one protocol query, record it, and classify the outcome.  Shared by
-   the JSON and binary reply paths so a batch item, a v1 line and a v2
-   frame for the same request produce the same metrics and the same
-   semantic reply.  [version] is the wire protocol of the serving
-   connection, feeding the per-version served gauge.  [Ok resp] counts as
-   one served query (the unit the [max_requests] budget measures);
-   [Error (category, msg)] was already recorded under its category. *)
-let run_core ?cache ~metrics ?(version = 1) req =
-  let t0 = Mono.now_us () in
-  let phased () =
-    let fault = parse_fault_spec ~who:"run_request" req.fault in
-    let g, inputs =
-      timed_phase ~metrics Phase.Cache_lookup (fun () -> instance_pair ?cache ~metrics req)
-    in
-    (* A sampled trace only accounts clean runs: an injected fault aborts
-       mid-protocol and would leave a half timeline. *)
-    let trace =
-      match !Obs_ctx.trace with Some tr when req.fault = "" -> Some tr | _ -> None
-    in
-    ( trace,
-      timed_phase ~metrics Phase.Run (fun () ->
-          run_protocol ?trace ~protocol:req.protocol ~seed:req.seed ~eps:req.eps
-            ~transport:req.transport ~fault ~k:req.k g inputs) )
-  in
-  match phased () with
-  | trace, resp ->
-      Metrics.record_query ~version metrics
-        ~protocol:(protocol_to_string req.protocol)
-        ~found_triangle:
-          (match resp.verdict with
-          | Tfree.Tester.Triangle _ -> true
-          | Tfree.Tester.Triangle_free -> false)
-        ~wire_bytes:resp.wire.Wire_runtime.wire_bytes
-        ~accounted_bits:resp.wire.Wire_runtime.accounted_bits
-        ~latency_us:(Mono.now_us () -. t0);
-      (match trace with
-      | Some _ -> Obs_ctx.traced_bits := !Obs_ctx.traced_bits + resp.wire.Wire_runtime.accounted_bits
-      | None -> ());
-      maybe_slow_query
-        ~latency_us:(Mono.now_us () -. t0)
-        [
-          ("protocol", Jsonout.Str (protocol_to_string req.protocol));
-          ("family", Jsonout.Str (family_to_string req.family));
-          ("partition", Jsonout.Str (partition_to_string req.partition));
-          ("n", Jsonout.Num (float_of_int req.n));
-          ("k", Jsonout.Num (float_of_int req.k));
-          ("seed", Jsonout.Num (float_of_int req.seed));
-        ];
-      Ok resp
-  | exception Wire_error.Wire_error k ->
-      let category =
-        Option.value ~default:Metrics.Run_failure
-          (Metrics.category_of_name (Wire_error.category k))
-      in
-      Metrics.record_error metrics ~category;
-      Error (category, Wire_error.message k)
-  | exception e ->
-      Metrics.record_error metrics ~category:Metrics.Run_failure;
-      Error (Metrics.Run_failure, Printexc.to_string e)
-
-(* {!run_core} for a dataset query: same recording and classification,
-   plus the per-dataset served gauge; a typed dataset failure (the file
-   vanished or rotted under the manifest) keeps its own message under
-   [Run_failure] — the request was well-formed, the server's data was
-   not. *)
-let run_core_dataset ?cache ~metrics ?(version = 1) ~registry dreq =
-  let t0 = Mono.now_us () in
-  let phased () =
-    let fault = parse_fault_spec ~who:"run_dataset_request" dreq.ds_fault in
-    let g, inputs =
-      timed_phase ~metrics Phase.Cache_lookup (fun () ->
-          dataset_pair ?cache ~metrics ~registry dreq)
-    in
-    let trace =
-      match !Obs_ctx.trace with Some tr when dreq.ds_fault = "" -> Some tr | _ -> None
-    in
-    ( trace,
-      timed_phase ~metrics Phase.Run (fun () ->
-          run_protocol ?trace ~protocol:dreq.ds_protocol ~seed:dreq.ds_seed ~eps:dreq.ds_eps
-            ~transport:dreq.ds_transport ~fault ~k:dreq.ds_k g inputs) )
-  in
-  match phased () with
-  | trace, resp ->
-      Metrics.record_query ~version metrics
-        ~protocol:(protocol_to_string dreq.ds_protocol)
-        ~found_triangle:
-          (match resp.verdict with
-          | Tfree.Tester.Triangle _ -> true
-          | Tfree.Tester.Triangle_free -> false)
-        ~wire_bytes:resp.wire.Wire_runtime.wire_bytes
-        ~accounted_bits:resp.wire.Wire_runtime.accounted_bits
-        ~latency_us:(Mono.now_us () -. t0);
-      Metrics.record_dataset metrics ~name:dreq.ds_name;
-      (match trace with
-      | Some _ -> Obs_ctx.traced_bits := !Obs_ctx.traced_bits + resp.wire.Wire_runtime.accounted_bits
-      | None -> ());
-      maybe_slow_query
-        ~latency_us:(Mono.now_us () -. t0)
-        [
-          ("protocol", Jsonout.Str (protocol_to_string dreq.ds_protocol));
-          ("dataset", Jsonout.Str dreq.ds_name);
-          ("k", Jsonout.Num (float_of_int dreq.ds_k));
-          ("seed", Jsonout.Num (float_of_int dreq.ds_seed));
-        ];
-      Ok resp
-  | exception Wire_error.Wire_error k ->
-      let category =
-        Option.value ~default:Metrics.Run_failure
-          (Metrics.category_of_name (Wire_error.category k))
-      in
-      Metrics.record_error metrics ~category;
-      Error (category, Wire_error.message k)
-  | exception Tfree_dataset.Dataset_error.Dataset_error kind ->
-      Metrics.record_error metrics ~category:Metrics.Run_failure;
-      Error (Metrics.Run_failure, "dataset: " ^ Tfree_dataset.Dataset_error.message kind)
-  | exception e ->
-      Metrics.record_error metrics ~category:Metrics.Run_failure;
-      Error (Metrics.Run_failure, Printexc.to_string e)
-
-(* The JSON shape of one query's outcome; the [int] is 1 when the query
-   was served, 0 on a categorized failure. *)
-let run_one ?cache ~metrics ?version req =
-  match run_core ?cache ~metrics ?version req with
-  | Ok resp -> (timed_phase ~metrics Phase.Encode (fun () -> response_to_json resp), 1)
-  | Error (category, msg) -> (error_obj ~category msg, 0)
-
-(* The [{"op": "health"}] payload: the registry's O(1) scalars plus the
-   instance cache's occupancy — no verdict/dataset table walk, no
-   histogram walk, so a prober's poll never contends with serving. *)
-let health_payload ?cache metrics =
-  let entries, capacity =
-    match cache with Some c -> (Lru.length c, Lru.capacity c) | None -> (0, 0)
-  in
-  match Metrics.health_json metrics with
-  | Jsonout.Obj fields ->
-      Jsonout.Obj
-        (fields
-        @ [
-            ( "cache",
-              Jsonout.Obj
-                [
-                  ("entries", Jsonout.Num (float_of_int entries));
-                  ("capacity", Jsonout.Num (float_of_int capacity));
-                ] );
-          ])
-  | j -> j
-
-(* Fleet delegation hooks: a fleet worker's stats/health ops must
-   describe the whole fleet, not one shard, so the dispatchers let the
-   fleet layer substitute those two payloads.  [None] from a hook (the
-   parent was unreachable) degrades to the local registry — a stats query
-   never errors because the control channel hiccupped. *)
-type serve_hooks = {
-  hook_stats : unit -> Jsonout.t option;
-  hook_health : unit -> Jsonout.t option;
-}
-
-(* One request line -> one reply line.  Sets [stop] on a shutdown command;
-   returns how many protocol queries the line served (the unit the
-   [max_requests] budget and the served counter measure — 0 or 1 for a
-   plain line, up to the item count for a batch).  All failure shapes —
-   unparseable JSON, unknown command or op, bad request field, a run that
-   raises — reply with a structured, categorized error and record it under
-   that category; the connection stays usable either way.  A wire fault
-   surfacing from the run keeps its own category (timeout/transport) so an
-   operator can tell chaos from bad input.  Inside a batch, failures are
-   per-item: each element of [results] is exactly the reply the request
-   would have gotten on its own line, errors included. *)
-let handle_line ?cache ?registry ?hooks ~metrics ~stop ?version line =
-  let err category msg =
-    Metrics.record_error metrics ~category;
-    (error_line ~category msg, 0)
-  in
-  let stats_obj () =
-    match hooks with
-    | Some h -> ( match h.hook_stats () with Some j -> j | None -> Metrics.to_json metrics)
-    | None -> Metrics.to_json metrics
-  in
-  let health_obj () =
-    match hooks with
-    | Some h -> (
-        match h.hook_health () with Some j -> j | None -> health_payload ?cache metrics)
-    | None -> health_payload ?cache metrics
-  in
-  match timed_phase ~metrics Phase.Parse (fun () -> Jsonout.parse line) with
-  | Error msg -> err Metrics.Malformed ("bad JSON: " ^ msg)
-  | Ok j -> (
-      match (Jsonout.member "cmd" j, Jsonout.member "op" j) with
-      | Some (Jsonout.Str "shutdown"), _ ->
-          stop := true;
-          (Jsonout.to_line (Jsonout.Obj [ ("ok", Jsonout.Bool true); ("bye", Jsonout.Bool true) ]), 0)
-      | Some (Jsonout.Str c), _ -> err Metrics.Malformed (Printf.sprintf "unknown command %S" c)
-      | Some _, _ -> err Metrics.Malformed "cmd must be a string"
-      | None, Some (Jsonout.Str "stats") ->
-          (Jsonout.to_line (Jsonout.Obj [ ("ok", Jsonout.Bool true); ("stats", stats_obj ()) ]), 0)
-      | None, Some (Jsonout.Str "health") ->
-          ( Jsonout.to_line (Jsonout.Obj [ ("ok", Jsonout.Bool true); ("health", health_obj ()) ]),
-            0 )
-      | None, Some (Jsonout.Str "batch") -> (
-          match Jsonout.member "requests" j with
-          | Some (Jsonout.List items) ->
-              Metrics.record_batch metrics ~items:(List.length items);
-              let served = ref 0 in
-              let results =
-                List.map
-                  (fun item ->
-                    match request_of_json item with
-                    | Error msg ->
-                        Metrics.record_error metrics ~category:Metrics.Malformed;
-                        error_obj ~category:Metrics.Malformed msg
-                    | Ok req ->
-                        let obj, n = run_one ?cache ~metrics ?version req in
-                        served := !served + n;
-                        obj)
-                  items
-              in
-              ( Jsonout.to_line
-                  (Jsonout.Obj
-                     [
-                       ("ok", Jsonout.Bool true);
-                       ("count", Jsonout.Num (float_of_int (List.length results)));
-                       ("results", Jsonout.List results);
-                     ]),
-                !served )
-          | Some _ -> err Metrics.Malformed "batch field \"requests\" must be a list"
-          | None -> err Metrics.Malformed "batch without a \"requests\" list")
-      | None, Some (Jsonout.Str "dataset") -> (
-          match registry with
-          | None -> err Metrics.Unknown_op "no dataset registry configured"
-          | Some reg -> (
-              match dataset_request_of_json j with
-              | Error msg -> err Metrics.Malformed msg
-              | Ok dreq -> (
-                  if Tfree_dataset.Registry.find reg dreq.ds_name = None then
-                    err Metrics.Malformed (Printf.sprintf "unknown dataset %S" dreq.ds_name)
-                  else
-                    match run_core_dataset ?cache ~metrics ?version ~registry:reg dreq with
-                    | Ok resp ->
-                        ( Jsonout.to_line
-                            (timed_phase ~metrics Phase.Encode (fun () -> response_to_json resp)),
-                          1 )
-                    | Error (category, msg) -> (error_line ~category msg, 0))))
-      | None, Some (Jsonout.Str o) -> err Metrics.Unknown_op (Printf.sprintf "unknown op %S" o)
-      | None, Some _ -> err Metrics.Malformed "op must be a string"
-      | None, None -> (
-          match request_of_json j with
-          | Error msg -> err Metrics.Malformed msg
-          | Ok req ->
-              let obj, n = run_one ?cache ~metrics ?version req in
-              (Jsonout.to_line obj, n)))
-
-(* One protocol-v2 frame body -> one sealed reply frame in [b]; the binary
-   twin of [handle_line], with the same dispatch, the same error
-   categories and the same served-count contract.  [cur] covers the frame
-   body (tag onward); structural decode failures — the frame passed its
-   checksum but its layout is garbled — fail that frame with a typed
-   malformed reply while the connection stays usable, because the frame
-   boundary is known and the stream can resync on the next frame.  Batch
-   items fail per item, like their JSON twins, when the failure is
-   semantic (bad enum code, bad fault spec); a structurally garbled item
-   makes the remaining bytes meaningless, so it fails the whole frame. *)
-let handle_frame ?cache ?registry ?hooks ~metrics ~stop ~version b cur =
-  let err category msg =
-    Metrics.record_error metrics ~category;
-    encode_error_frame b ~category msg;
-    0
-  in
-  let stats_obj () =
-    match hooks with
-    | Some h -> ( match h.hook_stats () with Some j -> j | None -> Metrics.to_json metrics)
-    | None -> Metrics.to_json metrics
-  in
-  let health_obj () =
-    match hooks with
-    | Some h -> (
-        match h.hook_health () with Some j -> j | None -> health_payload ?cache metrics)
-    | None -> health_payload ?cache metrics
-  in
-  try
-    let tag = Proto.get_u8 cur in
-    if tag = tag_query then (
-      match timed_phase ~metrics Phase.Parse (fun () -> decode_request_body cur) with
-      | Error msg -> err Metrics.Malformed msg
-      | Ok req -> (
-          Proto.expect_end cur;
-          match run_core ?cache ~metrics ~version req with
-          | Ok resp ->
-              timed_phase ~metrics Phase.Encode (fun () -> encode_response_frame b resp);
-              1
-          | Error (category, msg) ->
-              encode_error_frame b ~category msg;
-              0))
-    else if tag = tag_batch then begin
-      let count = Proto.get_varint cur in
-      Metrics.record_batch metrics ~items:count;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_batch_reply;
-      Proto.put_varint b count;
-      let served = ref 0 in
-      for _ = 1 to count do
-        match timed_phase ~metrics Phase.Parse (fun () -> decode_request_body cur) with
-        | Error msg ->
-            Metrics.record_error metrics ~category:Metrics.Malformed;
-            Proto.put_u8 b tag_error;
-            Proto.put_u8 b (category_code Metrics.Malformed);
-            Proto.put_string b msg
-        | Ok req -> (
-            match run_core ?cache ~metrics ~version req with
-            | Ok resp ->
-                timed_phase ~metrics Phase.Encode (fun () ->
-                    Proto.put_u8 b tag_reply;
-                    put_response b resp);
-                incr served
-            | Error (category, msg) ->
-                Proto.put_u8 b tag_error;
-                Proto.put_u8 b (category_code category);
-                Proto.put_string b msg)
-      done;
-      Proto.expect_end cur;
-      Proto.end_frame b;
-      !served
-    end
-    else if tag = tag_stats then begin
-      Proto.expect_end cur;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_stats_reply;
-      Proto.put_string b (Jsonout.to_string (stats_obj ()));
-      Proto.end_frame b;
-      0
-    end
-    else if tag = tag_health then begin
-      Proto.expect_end cur;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_health_reply;
-      Proto.put_string b (Jsonout.to_string (health_obj ()));
-      Proto.end_frame b;
-      0
-    end
-    else if tag = tag_shutdown then begin
-      Proto.expect_end cur;
-      stop := true;
-      Proto.begin_frame b;
-      Proto.put_u8 b tag_bye;
-      Proto.end_frame b;
-      0
-    end
-    else if tag = tag_dataset then (
-      match timed_phase ~metrics Phase.Parse (fun () -> decode_dataset_request_body cur) with
-      | Error msg -> err Metrics.Malformed msg
-      | Ok dreq -> (
-          Proto.expect_end cur;
-          match registry with
-          | None -> err Metrics.Unknown_op "no dataset registry configured"
-          | Some reg -> (
-              if Tfree_dataset.Registry.find reg dreq.ds_name = None then
-                err Metrics.Malformed (Printf.sprintf "unknown dataset %S" dreq.ds_name)
-              else
-                match run_core_dataset ?cache ~metrics ~version ~registry:reg dreq with
-                | Ok resp ->
-                    timed_phase ~metrics Phase.Encode (fun () -> encode_response_frame b resp);
-                    1
-                | Error (category, msg) ->
-                    encode_error_frame b ~category msg;
-                    0)))
-    else err Metrics.Unknown_op (Printf.sprintf "unknown frame tag %d" tag)
-  with Wire_error.Wire_error k -> err Metrics.Malformed ("bad frame: " ^ Wire_error.message k)
+let frame_out b =
+  let off = Proto.frame_off b and len = Proto.frame_len b in
+  let flip_off = off + len - Proto.frame_body_len b - 2 in
+  { data = Proto.storage b; off; len; flip_off; flip_end = off + len }
 
 (* Reply-level fault injection: the [op]-th reply the server writes (0-based
    across the whole server lifetime) suffers the scheduled fault.  [Drop]
-   and [Close] cost the client its connection; [Corrupt] garbles one bit of
-   the line body (the newline survives, so the client reads a line that
-   fails to parse); [Truncate] sends a proper prefix and closes; [Delay]
-   holds the reply [amount] milliseconds; [Partial] splits the write in two
-   (same bytes — the client must not notice).  Every firing bumps the
-   injected-fault tally, never the error counters: the fault is ours.
+   and [Close] cost the client its connection; [Corrupt] garbles one bit
+   (see {!outgoing}); [Truncate] sends a proper prefix and closes, starving
+   the client's read until its deadline; [Delay] holds the reply [amount]
+   milliseconds; [Partial] splits the write in two (same bytes — the
+   client must not notice).  Every firing bumps the injected-fault tally,
+   never the error counters: the fault is ours.
 
    The second component reports whether the reply landed byte-intact
    ([Delay] and [Partial] reorder time, not bytes) — the condition under
    which the exchange's traffic counts toward the per-version byte gauge,
    so the gauge reconciles exactly against what a client's successful
    exchanges measured. *)
-let inject_reply ~metrics ~fault ~op fd reply =
+let inject_reply ~metrics ~fault ~op fd o =
+  let write off len = write_bytes fd o.data off len in
   match Fault.find fault op with
   | None ->
-      write_line fd reply;
+      write o.off o.len;
       (`Keep, true)
   | Some kind -> (
       Metrics.record_injected metrics;
       match kind with
       | Fault.Drop | Fault.Close -> (`Close, false)
       | Fault.Corrupt { bit } ->
-          let b = Bytes.of_string reply in
-          let nbits = 8 * Bytes.length b in
+          let nbits = 8 * (o.flip_end - o.flip_off) in
           if nbits > 0 then begin
             let i = ((bit mod nbits) + nbits) mod nbits in
-            let byte = i / 8 and off = i mod 8 in
-            Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl off)))
+            let byte = o.flip_off + (i / 8) in
+            Bytes.set o.data byte
+              (Char.chr (Char.code (Bytes.get o.data byte) lxor (1 lsl (i mod 8))))
           end;
-          write_line fd (Bytes.to_string b);
+          write o.off o.len;
           (`Keep, false)
       | Fault.Truncate { keep } ->
-          let s = reply ^ "\n" in
-          write_all fd (String.sub s 0 (min (max keep 0) (max 0 (String.length s - 1))));
+          write o.off (min (max keep 0) (max 0 (o.len - 1)));
           (`Close, false)
       | Fault.Delay { amount } ->
           Unix.sleepf (float_of_int (max amount 0) /. 1000.0);
-          write_line fd reply;
+          write o.off o.len;
           (`Keep, true)
       | Fault.Partial { at } ->
-          let s = reply ^ "\n" in
-          let cut = max 1 (min at (String.length s - 1)) in
-          write_all fd (String.sub s 0 cut);
-          write_all fd (String.sub s cut (String.length s - cut));
-          (`Keep, true))
-
-let write_bytes_all fd data off len =
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Unix.write fd data (off + !sent) (len - !sent)
-  done
-
-(* Write the sealed frame currently held by [b]. *)
-let write_frame fd b = write_bytes_all fd (Proto.storage b) (Proto.frame_off b) (Proto.frame_len b)
-
-(* [inject_reply] for a sealed binary reply frame in [b]; same fault
-   semantics, adapted to frames.  [Corrupt] flips a bit past the length
-   varint — in the body or its checksum — so the frame stays delimited and
-   the client reads a complete frame that fails its checksum, mirroring
-   how the line path garbles the body but preserves the newline.
-   [Truncate] sends a proper prefix and closes, starving the client's
-   frame read until its deadline. *)
-let inject_reply_frame ~metrics ~fault ~op fd b =
-  let data = Proto.storage b and off = Proto.frame_off b and len = Proto.frame_len b in
-  match Fault.find fault op with
-  | None ->
-      write_bytes_all fd data off len;
-      (`Keep, true)
-  | Some kind -> (
-      Metrics.record_injected metrics;
-      match kind with
-      | Fault.Drop | Fault.Close -> (`Close, false)
-      | Fault.Corrupt { bit } ->
-          let varint_len = len - (Proto.frame_body_len b + 2) in
-          let region_off = off + varint_len in
-          let nbits = 8 * (len - varint_len) in
-          if nbits > 0 then begin
-            let i = ((bit mod nbits) + nbits) mod nbits in
-            let byte = region_off + (i / 8) and o = i mod 8 in
-            Bytes.set data byte (Char.chr (Char.code (Bytes.get data byte) lxor (1 lsl o)))
-          end;
-          write_bytes_all fd data off len;
-          (`Keep, false)
-      | Fault.Truncate { keep } ->
-          write_bytes_all fd data off (min (max keep 0) (max 0 (len - 1)));
-          (`Close, false)
-      | Fault.Delay { amount } ->
-          Unix.sleepf (float_of_int (max amount 0) /. 1000.0);
-          write_bytes_all fd data off len;
-          (`Keep, true)
-      | Fault.Partial { at } ->
-          let cut = max 1 (min at (len - 1)) in
-          write_bytes_all fd data off cut;
-          write_bytes_all fd data (off + cut) (len - cut);
+          let cut = max 1 (min at (o.len - 1)) in
+          write o.off cut;
+          write (o.off + cut) (o.len - cut);
           (`Keep, true))
 
 (* One open connection in the event loop: its descriptor, the read buffer
@@ -1633,7 +1569,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
       ];
     try
       if c.version >= 2 then begin
-        encode_error_frame c.wbuf ~category msg;
+        encode_reply_frame c.wbuf (R_error (category, msg));
         write_frame c.conn_fd c.wbuf
       end
       else write_line c.conn_fd (error_line ~category msg)
@@ -1651,38 +1587,36 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
       c.read_start <- (if remaining > 0 then now else nan)
     end
   in
-  (* Route one reply (line or frame) through the fault schedule, tally the
-     served queries, and — when the reply landed byte-intact — credit the
-     exchange's request+reply bytes to the connection's wire-protocol
-     version, so stats reconcile exactly against what the client's
-     successful exchanges measured. *)
-  let deliver_reply c ~nserved ~request_bytes ~reply_bytes inject =
-    let op = !reply_op in
-    incr reply_op;
-    match timed_phase ~metrics Phase.Write (fun () -> inject ~op c.conn_fd) with
-    | exception Unix.Unix_error _ ->
-        (* the peer closed before the reply landed *)
-        transport_error ();
-        close_conn c
-    | action, clean ->
-        served := !served + nserved;
-        if clean && nserved > 0 then
-          Metrics.record_version_bytes metrics
-            ~version:(max 1 c.version)
-            ~bytes:(request_bytes + reply_bytes);
-        if action = `Close then close_conn c
-  in
-  let handle_one c line =
-    match handle_line ?cache ?registry ?hooks ~metrics ~stop ~version:(max 1 c.version) line with
+  (* Handle one request unit ([handle] returns how many queries it served
+     and its encoded reply), route the reply through the fault schedule,
+     tally the served queries, and — when the reply landed byte-intact —
+     credit the exchange's request+reply bytes to the connection's
+     wire-protocol version, so stats reconcile exactly against what the
+     client's successful exchanges measured. *)
+  let serve_unit c ~request_bytes handle =
+    match handle () with
     | exception e ->
         Metrics.record_error metrics ~category:Metrics.Run_failure;
         write_error_conn c ~category:Metrics.Run_failure (Printexc.to_string e);
         close_conn c
-    | reply, nserved ->
-        deliver_reply c ~nserved
-          ~request_bytes:(String.length line + 1)
-          ~reply_bytes:(String.length reply + 1)
-          (fun ~op fd -> inject_reply ~metrics ~fault ~op fd reply)
+    | nserved, out -> (
+        let op = !reply_op in
+        incr reply_op;
+        match
+          timed_phase ~metrics Phase.Write (fun () ->
+              inject_reply ~metrics ~fault ~op c.conn_fd out)
+        with
+        | exception Unix.Unix_error _ ->
+            (* the peer closed before the reply landed *)
+            transport_error ();
+            close_conn c
+        | action, clean ->
+            served := !served + nserved;
+            if clean && nserved > 0 then
+              Metrics.record_version_bytes metrics
+                ~version:(max 1 c.version)
+                ~bytes:(request_bytes + out.len);
+            if action = `Close then close_conn c)
   in
   (* Split off and handle every complete line in [c]'s read buffer; keep
      the unterminated tail for the next readable event.  Each complete
@@ -1698,7 +1632,14 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           Proto.rbuf_consume c.rbuf (nl - start + 1);
           note_unit_read c ~remaining:(Proto.rbuf_avail c.rbuf);
           c.deadline <- Unix.gettimeofday () +. line_timeout_s;
-          if (not !stop) && budget_left () then observe_unit (fun () -> handle_one c line);
+          if (not !stop) && budget_left () then
+            observe_unit (fun () ->
+                serve_unit c ~request_bytes:(String.length line + 1) (fun () ->
+                    let reply, nserved =
+                      handle_line ?cache ?registry ?hooks ~metrics ~stop ~version:(max 1 c.version)
+                        line
+                    in
+                    (nserved, line_out reply)));
           if !stop then scanning := false
     done;
     if c.conn_open && Proto.rbuf_avail c.rbuf > max_line_bytes then begin
@@ -1711,7 +1652,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
      error — garbage or oversized length prefix, checksum mismatch — is
      unrecoverable (a byte stream cannot resync), so it costs a transport
      error and the connection; a frame that passes its checksum but
-     decodes badly is handled inside [handle_frame] with the connection
+     decodes badly is answered by [handle_frame] with the connection
      kept. *)
   let drain_frames c =
     let scanning = ref true in
@@ -1739,18 +1680,12 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
           c.deadline <- Unix.gettimeofday () +. line_timeout_s;
           if (not !stop) && budget_left () then
             observe_unit (fun () ->
-                match
-                  handle_frame ?cache ?registry ?hooks ~metrics ~stop ~version:c.version c.wbuf
-                    c.rcur
-                with
-                | exception e ->
-                    Metrics.record_error metrics ~category:Metrics.Run_failure;
-                    write_error_conn c ~category:Metrics.Run_failure (Printexc.to_string e);
-                    close_conn c
-                | nserved ->
-                    deliver_reply c ~nserved ~request_bytes:frame_len
-                      ~reply_bytes:(Proto.frame_len c.wbuf) (fun ~op fd ->
-                        inject_reply_frame ~metrics ~fault ~op fd c.wbuf));
+                serve_unit c ~request_bytes:frame_len (fun () ->
+                    let nserved =
+                      handle_frame ?cache ?registry ?hooks ~metrics ~stop ~version:c.version
+                        c.wbuf c.rcur
+                    in
+                    (nserved, frame_out c.wbuf)));
           if c.conn_open then Proto.rbuf_consume c.rbuf frame_len else scanning := false
     done
   in
@@ -1782,9 +1717,7 @@ let run_event_loop ~listeners ?ctl ?hooks ~metrics ~stop ~max_clients ?max_reque
             let negotiated = if requested < 1 then 0 else min requested max_version in
             if negotiated = 0 then
               Metrics.record_error metrics ~category:Metrics.Malformed;
-            (match
-               write_all c.conn_fd (Proto.hello negotiated)
-             with
+            (match write_string c.conn_fd (Proto.hello negotiated) with
             | () ->
                 c.version <- max 1 negotiated;
                 drain c
@@ -1903,8 +1836,8 @@ let ctl_write fd tag payload =
   Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xff));
   Bytes.set hdr 3 (Char.chr ((n lsr 16) land 0xff));
   Bytes.set hdr 4 (Char.chr ((n lsr 24) land 0xff));
-  write_bytes_all fd hdr 0 5;
-  write_all fd payload
+  write_bytes fd hdr 0 5;
+  write_string fd payload
 
 (* Largest control payload we accept: a metrics snapshot is a few KB, so
    anything past this is a desynchronized stream, treated like a close. *)
@@ -2351,42 +2284,14 @@ let with_connection ~path f =
       Unix.connect sock (Unix.ADDR_UNIX path);
       f sock)
 
-(* Is a structured [{"ok": false}] reply worth retrying?  Only when its
-   category describes the wire or the server's load, not the request:
-   timeout, transport and overload pass, everything else is the server
-   telling us the request itself is wrong. *)
-let reply_error j =
-  let msg =
-    match Jsonout.member "error" j with Some (Jsonout.Str s) -> s | _ -> "server error"
-  in
-  let transient =
-    match Jsonout.member "category" j with
-    | Some (Jsonout.Str ("timeout" | "transport" | "overload")) -> true
-    | _ -> false
-  in
-  ((if transient then `Transient else `Fatal), msg)
-
-(* Same transient-or-fatal split, from a binary error frame's category. *)
+(* Is a structured error reply worth retrying?  Only when its category
+   describes the wire or the server's load, not the request: timeout,
+   transport and overload pass, everything else is the server telling us
+   the request itself is wrong. *)
 let classify_category category =
   match category with
   | Metrics.Timeout | Metrics.Transport | Metrics.Overload -> `Transient
   | Metrics.Malformed | Metrics.Unknown_op | Metrics.Run_failure -> `Fatal
-
-(* One JSON line-protocol exchange on an already-connected socket;
-   [interpret] turns the parsed reply of a successful exchange into the
-   caller's result. *)
-let json_exchange sock ~deadline ~line ~interpret =
-  write_line sock line;
-  match read_line_deadline sock ~deadline with
-  | Eof | Partial _ -> Error (`Transient, "server closed the connection")
-  | Timed_out -> Error (`Transient, "reply timed out")
-  | Line reply -> (
-      match Jsonout.parse reply with
-      | Error msg -> Error (`Transient, "bad reply JSON: " ^ msg)
-      | Ok j -> (
-          match Jsonout.member "ok" j with
-          | Some (Jsonout.Bool false) -> Error (reply_error j)
-          | _ -> interpret j))
 
 (* The exceptions any attempt can surface, classified transient: the
    server may be restarting, shedding load, or mid-fault. *)
@@ -2396,17 +2301,6 @@ let guard_attempt f =
   | exception Unix.Unix_error (e, fn, _) ->
       Error (`Transient, Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | exception Wire_error.Wire_error k -> Error (`Transient, Wire_error.message k)
-
-(* One v1 connect/write/read attempt, classified: [`Transient] failures
-   are worth retrying (the server may be restarting or shedding load, the
-   reply may have been garbled by a fault), [`Fatal] ones are the server
-   telling us the request itself is wrong. *)
-let attempt_exchange ~timeout_s ~path ~line ~interpret =
-  guard_attempt (fun () ->
-      with_connection ~path (fun sock ->
-          json_exchange sock ~deadline:(Unix.gettimeofday () +. timeout_s) ~line ~interpret))
-
-(* ----------------------------------------------------- client, binary v2 *)
 
 (* One byte off the socket under a deadline.  Poll-backed like every
    deadline read: a client library living in a process with >= FD_SETSIZE
@@ -2454,90 +2348,6 @@ let read_frame_deadline sock ~deadline cur =
   in
   loop ()
 
-(* The four exchanges a client performs, shaped once so the v1 and v2
-   paths cannot drift. *)
-type wire_op =
-  | Op_query of request
-  | Op_dataset of dataset_request
-  | Op_batch of request list
-  | Op_stats
-  | Op_health
-  | Op_shutdown
-
-let op_line = function
-  | Op_query req -> Jsonout.to_line (request_to_json req)
-  | Op_dataset dreq -> Jsonout.to_line (dataset_request_to_json dreq)
-  | Op_batch reqs -> Jsonout.to_line (batch_request_to_json reqs)
-  | Op_stats -> Jsonout.to_line (Jsonout.Obj [ ("op", Jsonout.Str "stats") ])
-  | Op_health -> Jsonout.to_line (Jsonout.Obj [ ("op", Jsonout.Str "health") ])
-  | Op_shutdown -> Jsonout.to_line (Jsonout.Obj [ ("cmd", Jsonout.Str "shutdown") ])
-
-let op_fill b = function
-  | Op_query req -> encode_query_frame b req
-  | Op_dataset dreq -> encode_dataset_frame b dreq
-  | Op_batch reqs -> encode_batch_frame b reqs
-  | Op_stats -> encode_stats_frame b
-  | Op_health -> encode_health_frame b
-  | Op_shutdown -> encode_shutdown_frame b
-
-(* A decoded binary reply, every shape the server can send. *)
-type wire_reply =
-  | R_response of response
-  | R_error of Metrics.error_category * string
-  | R_batch of (response, Metrics.error_category * string) result list
-  | R_stats of Jsonout.t
-  | R_health of Jsonout.t
-  | R_bye
-
-let decode_reply cur =
-  let tag = Proto.get_u8 cur in
-  if tag = tag_reply then begin
-    let r = decode_response_body cur in
-    Proto.expect_end cur;
-    R_response r
-  end
-  else if tag = tag_error then begin
-    let category = category_of_code (Proto.get_u8 cur) in
-    let msg = Proto.get_string cur in
-    Proto.expect_end cur;
-    R_error (category, msg)
-  end
-  else if tag = tag_batch_reply then begin
-    let count = Proto.get_varint cur in
-    let items = ref [] in
-    for _ = 1 to count do
-      let sub = Proto.get_u8 cur in
-      if sub = tag_reply then items := Ok (decode_response_body cur) :: !items
-      else if sub = tag_error then begin
-        let category = category_of_code (Proto.get_u8 cur) in
-        let msg = Proto.get_string cur in
-        items := Error (category, msg) :: !items
-      end
-      else Wire_error.errorf_corrupt "unknown batch item tag %d" sub
-    done;
-    Proto.expect_end cur;
-    R_batch (List.rev !items)
-  end
-  else if tag = tag_stats_reply then begin
-    let s = Proto.get_string cur in
-    Proto.expect_end cur;
-    match Jsonout.parse s with
-    | Ok j -> R_stats j
-    | Error msg -> Wire_error.errorf_corrupt "bad stats JSON in frame: %s" msg
-  end
-  else if tag = tag_health_reply then begin
-    let s = Proto.get_string cur in
-    Proto.expect_end cur;
-    match Jsonout.parse s with
-    | Ok j -> R_health j
-    | Error msg -> Wire_error.errorf_corrupt "bad health JSON in frame: %s" msg
-  end
-  else if tag = tag_bye then begin
-    Proto.expect_end cur;
-    R_bye
-  end
-  else Wire_error.errorf_corrupt "unknown reply tag %d" tag
-
 (* Offer the server our best version and classify its answer.  A server
    that does not speak the handshake still answers *something* — most
    usefully the overload-shed JSON error line — so a non-magic first byte
@@ -2545,7 +2355,7 @@ let decode_reply cur =
    category keeps the retry classification (an overload shed stays
    transient with the server's own message). *)
 let client_hello sock ~deadline =
-  write_all sock (Proto.hello Proto.max_version);
+  write_string sock (Proto.hello Proto.max_version);
   match read_byte_deadline sock ~deadline with
   | `Timeout -> Error (`Transient, "handshake timed out")
   | `Eof -> Error (`Transient, "server closed during handshake")
@@ -2566,45 +2376,68 @@ let client_hello sock ~deadline =
       | Eof | Partial _ -> Error (`Transient, "server closed during handshake")
       | Line rest -> (
           match Jsonout.parse (String.make 1 b ^ rest) with
-          | Ok j when Jsonout.member "ok" j = Some (Jsonout.Bool false) -> Error (reply_error j)
+          | Ok j when Jsonout.member "ok" j = Some (Jsonout.Bool false) ->
+              let category, msg = json_error j in
+              Error (classify_category category, msg)
           | Ok _ | Error _ -> Error (`Transient, "garbled handshake reply")))
 
-(* One exchange attempt honouring [protocol]: [V1] is the bare JSON line
-   path; [V2]/[Auto] shake hands first and speak binary frames when the
-   server agrees, JSON lines on the same connection when it answers v1.
-   [interpret]/[interpret_bin] turn the two reply shapes into the caller's
-   result; both run under the transient-exception guard. *)
-let attempt_op ~protocol ~timeout_s ~path ~op ~interpret ~interpret_bin =
-  match (protocol : Proto.pref) with
-  | Proto.V1 -> attempt_exchange ~timeout_s ~path ~line:(op_line op) ~interpret
-  | Proto.V2 | Proto.Auto ->
-      guard_attempt (fun () ->
-          with_connection ~path (fun sock ->
-              let deadline = Unix.gettimeofday () +. timeout_s in
-              match client_hello sock ~deadline with
-              | Error e -> Error e
-              | Ok 1 -> json_exchange sock ~deadline ~line:(op_line op) ~interpret
-              | Ok _ -> (
-                  let b = Proto.create_buf () in
-                  op_fill b op;
-                  write_frame sock b;
-                  let cur = Proto.cursor () in
-                  match read_frame_deadline sock ~deadline cur with
-                  | `Timeout -> Error (`Transient, "reply timed out")
-                  | `Closed -> Error (`Transient, "server closed the connection")
-                  | `Frame -> (
-                      match decode_reply cur with
-                      | R_error (category, msg) -> Error (classify_category category, msg)
-                      | reply -> interpret_bin reply))))
+(* One exchange on a connected socket in the negotiated codec, decoded
+   back to a reply. *)
+let exchange_reply sock ~deadline ~version op =
+  if version >= 2 then begin
+    let b = Proto.create_buf () in
+    encode_op_frame b op;
+    write_frame sock b;
+    let cur = Proto.cursor () in
+    match read_frame_deadline sock ~deadline cur with
+    | `Timeout -> Error (`Transient, "reply timed out")
+    | `Closed -> Error (`Transient, "server closed the connection")
+    | `Frame -> Ok (reply_of_frame cur)
+  end
+  else begin
+    write_line sock (op_line op);
+    match read_line_deadline sock ~deadline with
+    | Eof | Partial _ -> Error (`Transient, "server closed the connection")
+    | Timed_out -> Error (`Transient, "reply timed out")
+    | Line line -> (
+        match Jsonout.parse line with
+        | Error msg -> Error (`Transient, "bad reply JSON: " ^ msg)
+        | Ok j ->
+            Result.map_error
+              (fun msg -> (`Transient, "garbled reply: " ^ msg))
+              (reply_of_json op j))
+  end
+
+(* One connect/exchange attempt honouring [protocol]: [V1] is the bare
+   JSON line path; [V2]/[Auto] shake hands first and speak binary frames
+   when the server agrees, JSON lines on the same connection when it
+   answers v1.  [`Transient] failures are worth retrying (the server may
+   be restarting or shedding load, the reply may have been garbled by a
+   fault), [`Fatal] ones are the server telling us the request itself is
+   wrong. *)
+let attempt ~protocol ~timeout_s ~path op =
+  guard_attempt (fun () ->
+      with_connection ~path (fun sock ->
+          let deadline = Unix.gettimeofday () +. timeout_s in
+          let version =
+            match (protocol : Proto.pref) with
+            | Proto.V1 -> Ok 1
+            | Proto.V2 | Proto.Auto -> client_hello sock ~deadline
+          in
+          match Result.bind version (fun version -> exchange_reply sock ~deadline ~version op) with
+          | Ok (R_error (category, msg)) -> Error (classify_category category, msg)
+          | result -> result))
 
 (* The shared retry envelope: transient failures back off exponentially
    ([backoff_s · 2^attempt] plus up to 25% jitter, deterministic in
    [backoff_seed]) and try the whole exchange again, tallying each retry in
-   [metrics] when given; fatal ones return immediately. *)
-let with_retries ~retries ~backoff_s ~backoff_seed ~metrics attempt =
+   [metrics] when given; fatal ones return immediately.  [interpret] turns
+   the reply of a successful exchange into the caller's result. *)
+let client_exchange ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0)
+    ?metrics ?(protocol = Proto.Auto) ~path op interpret =
   let rng = Rng.create (0xc11e47 + (31 * backoff_seed)) in
   let rec go n =
-    match attempt () with
+    match Result.bind (attempt ~protocol ~timeout_s ~path op) interpret with
     | Ok v -> Ok v
     | Error (`Fatal, msg) -> Error msg
     | Error (`Transient, msg) ->
@@ -2618,116 +2451,39 @@ let with_retries ~retries ~backoff_s ~backoff_seed ~metrics attempt =
   in
   go 0
 
-(** Send one request to a server at [path]; wait up to [timeout_s] for the
-    reply.  Transient failures retry up to [retries] more times with
-    exponential backoff ([backoff_s · 2^attempt] plus up to 25% jitter,
-    deterministic in [backoff_seed]); each retry is tallied in [metrics]
-    when given.  Fatal server rejections return immediately.  [protocol]
-    picks the wire protocol (default [Auto]: binary v2 when the server
-    speaks it, JSON v1 otherwise); the retry envelope covers the
-    handshake, so a garbled negotiation retries like a garbled reply. *)
-let client_query ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0)
-    ?metrics ?(protocol = Proto.Auto) ~path req =
-  with_retries ~retries ~backoff_s ~backoff_seed ~metrics (fun () ->
-      attempt_op ~protocol ~timeout_s ~path ~op:(Op_query req)
-        ~interpret:(fun j ->
-          match response_of_json j with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (`Transient, "garbled reply: " ^ msg))
-        ~interpret_bin:(function
-          | R_response resp -> Ok resp
-          | _ -> Error (`Transient, "garbled reply: unexpected frame shape")))
+let unexpected () = Error (`Transient, "garbled reply: unexpected reply shape")
 
-(** {!client_query} for a [{"op": "dataset"}] query: same retry envelope,
-    same protocol negotiation, same reply shape — the server just takes
-    the graph from its registry instead of generating it. *)
-let client_dataset ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0)
-    ?metrics ?(protocol = Proto.Auto) ~path dreq =
-  with_retries ~retries ~backoff_s ~backoff_seed ~metrics (fun () ->
-      attempt_op ~protocol ~timeout_s ~path ~op:(Op_dataset dreq)
-        ~interpret:(fun j ->
-          match response_of_json j with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (`Transient, "garbled reply: " ^ msg))
-        ~interpret_bin:(function
-          | R_response resp -> Ok resp
-          | _ -> Error (`Transient, "garbled reply: unexpected frame shape")))
+let client_run ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path q =
+  client_exchange ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path (Op_query q)
+    (function R_response resp -> Ok resp | _ -> unexpected ())
 
-(** Send [reqs] as one [{"op": "batch"}] exchange — one line out, one line
-    back — and return per-item results in request order.  The retry
-    envelope is the same as {!client_query}'s and covers the whole
-    exchange: a garbled or truncated batch reply retries everything, while
-    a structured per-item error (bad request inside an otherwise healthy
-    batch) is that item's final [Error].  An empty [reqs] is one empty
-    round trip. *)
-let client_batch ?(timeout_s = 30.0) ?(retries = 0) ?(backoff_s = 0.05) ?(backoff_seed = 0)
-    ?metrics ?(protocol = Proto.Auto) ~path reqs =
-  with_retries ~retries ~backoff_s ~backoff_seed ~metrics (fun () ->
-      attempt_op ~protocol ~timeout_s ~path ~op:(Op_batch reqs)
-        ~interpret:(fun j ->
-          match Jsonout.member "results" j with
-          | Some (Jsonout.List items) when List.length items = List.length reqs ->
-              Ok
-                (List.map
-                   (fun item ->
-                     match Jsonout.member "ok" item with
-                     | Some (Jsonout.Bool false) -> Error (snd (reply_error item))
-                     | _ -> (
-                         match response_of_json item with
-                         | Ok resp -> Ok resp
-                         | Error msg -> Error ("garbled batch item: " ^ msg)))
-                   items)
-          | Some (Jsonout.List items) ->
-              Error
-                ( `Transient,
-                  Printf.sprintf "garbled reply: %d results for %d requests" (List.length items)
-                    (List.length reqs) )
-          | _ -> Error (`Transient, "garbled reply: batch reply without results"))
-        ~interpret_bin:(function
-          | R_batch items when List.length items = List.length reqs ->
-              Ok (List.map (function Ok resp -> Ok resp | Error (_, msg) -> Error msg) items)
-          | R_batch items ->
-              Error
-                ( `Transient,
-                  Printf.sprintf "garbled reply: %d results for %d requests" (List.length items)
-                    (List.length reqs) )
-          | _ -> Error (`Transient, "garbled reply: unexpected frame shape")))
+let client_query ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path r =
+  client_run ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path (Generated r)
 
-(** Fetch the server's telemetry ([{"op": "stats"}]); returns the [stats]
-    object of the reply. *)
-let client_stats ?(timeout_s = 30.0) ?(protocol = Proto.Auto) ~path () =
-  match
-    attempt_op ~protocol ~timeout_s ~path ~op:Op_stats
-      ~interpret:(fun j ->
-        match Jsonout.member "stats" j with
-        | Some stats -> Ok stats
-        | None -> Error (`Transient, "garbled reply: stats reply without stats"))
-      ~interpret_bin:(function
-        | R_stats stats -> Ok stats
-        | _ -> Error (`Transient, "garbled reply: unexpected frame shape"))
-  with
-  | Ok stats -> Ok stats
-  | Error (_, msg) -> Error msg
+let client_dataset ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path d =
+  client_run ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path (Dataset d)
 
-(** Fetch the server's cheap liveness payload ([{"op": "health"}]);
-    returns the [health] object of the reply. *)
-let client_health ?(timeout_s = 30.0) ?(protocol = Proto.Auto) ~path () =
-  match
-    attempt_op ~protocol ~timeout_s ~path ~op:Op_health
-      ~interpret:(fun j ->
-        match Jsonout.member "health" j with
-        | Some health -> Ok health
-        | None -> Error (`Transient, "garbled reply: health reply without health"))
-      ~interpret_bin:(function
-        | R_health health -> Ok health
-        | _ -> Error (`Transient, "garbled reply: unexpected frame shape"))
-  with
-  | Ok health -> Ok health
-  | Error (_, msg) -> Error msg
+let client_batch ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path reqs =
+  client_exchange ?timeout_s ?retries ?backoff_s ?backoff_seed ?metrics ?protocol ~path
+    (Op_batch reqs) (function
+    | R_batch items when List.length items = List.length reqs ->
+        Ok (List.map (Result.map_error snd) items)
+    | R_batch items ->
+        Error
+          ( `Transient,
+            Printf.sprintf "garbled reply: %d results for %d requests" (List.length items)
+              (List.length reqs) )
+    | _ -> unexpected ())
 
-(** Ask a server at [path] to shut down. *)
-let client_shutdown ?(protocol = Proto.Auto) ~path () =
-  ignore
-    (attempt_op ~protocol ~timeout_s:30.0 ~path ~op:Op_shutdown
-       ~interpret:(fun _ -> Ok ())
-       ~interpret_bin:(fun _ -> Ok ()))
+let client_stats ?timeout_s ?protocol ~path () =
+  client_exchange ?timeout_s ?protocol ~path Op_stats (function
+    | R_stats stats -> Ok stats
+    | _ -> unexpected ())
+
+let client_health ?timeout_s ?protocol ~path () =
+  client_exchange ?timeout_s ?protocol ~path Op_health (function
+    | R_health health -> Ok health
+    | _ -> unexpected ())
+
+let client_shutdown ?protocol ~path () =
+  ignore (client_exchange ?protocol ~path Op_shutdown (fun _ -> Ok ()))

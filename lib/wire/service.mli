@@ -1,14 +1,24 @@
 (** tfree-serve: a triangle-freeness query service over Unix-domain
-    sockets.  One JSON value per line in both directions; a request names
-    an instance family, an edge partition and a protocol (the same enums
-    the tfree CLI exposes), the reply carries the verdict, the accounted
-    bits and the measured wire traffic, reconciled.
+    sockets.  A query names an instance — generated from a family and
+    size parameters ({!request}) or a registered dataset by name
+    ({!dataset_request}) — plus an edge partition and a protocol (the same
+    enums the tfree CLI exposes); the reply carries the verdict, the
+    accounted bits and the measured wire traffic, reconciled.
 
-    The server is a single-threaded select event loop: many concurrent
+    Every request travels one path.  A JSON v1 line and a binary v2 frame
+    decode into the same operation (one {!query}, a batch, stats, health
+    or shutdown), one dispatcher serves it, and the connection's codec
+    encodes the one reply; every query runs through one cache lookup and
+    one recorded protocol run, whichever arm of {!query} it is.  The
+    generated-only and dataset-only functions below ({!run_request},
+    {!run_dataset_request}, {!client_query}, ...) are one-line entry
+    points over that path.
+
+    The server is a single-threaded poll event loop: many concurrent
     clients, each with its own read buffer and per-line deadline; bounded
     admission with typed overload shedding; an LRU instance/partition
     cache; and an [{"op": "batch"}] exchange amortizing the framing over
-    many queries.  It degrades, never dies: malformed lines, clients
+    many queries.  It degrades, never dies: malformed requests, clients
     killed mid-request, silent clients and dead reply sockets each cost
     one categorized {!Metrics} error counter and at worst that one
     connection.  The client retries transient failures with exponential
@@ -75,6 +85,9 @@ type dataset_request = {
 (** dup/oblivious, k=4 eps=0.1 seed=1, pipe transport, no fault. *)
 val default_dataset_request : name:string -> dataset_request
 
+(** One query, whichever way it names its graph. *)
+type query = Generated of request | Dataset of dataset_request
+
 type response = {
   verdict : Tfree.Tester.verdict;
   bits : int;  (** accounted communication (the cost model) *)
@@ -128,7 +141,6 @@ val encode_response_frame : Proto.buf -> response -> unit
 (** The all-ok batch reply frame, byte-identical to the server's when
     every item serves (used to account wire bytes without a tap). *)
 val encode_batch_reply_frame : Proto.buf -> response list -> unit
-val encode_error_frame : Proto.buf -> category:Metrics.error_category -> string -> unit
 val decode_request_body : Proto.cursor -> (request, string) result
 val decode_dataset_request_body : Proto.cursor -> (dataset_request, string) result
 
@@ -137,7 +149,7 @@ val decode_response_body : Proto.cursor -> response
 
 (** {2 The instance cache}
 
-    Requests that agree on every instance-determining field share one
+    Queries that agree on every instance-determining field share one
     build of the graph and its partition; protocol, transport and fault
     spec are excluded from the key because they only affect how the
     instance is queried.  Generated instances key on family, partition,
@@ -202,13 +214,13 @@ val graph_rng : int -> Rng.t
     run of the same seed. *)
 val partition_rng : int -> Rng.t
 
-(** The cached instance/partition pair for a request (built on a miss; one
-    counted lookup per call, mirrored into [metrics] when given).  Without
-    [cache], always builds. *)
+(** The cached instance/partition pair for a generated request (built on
+    a miss; one counted lookup per call, mirrored into [metrics] when
+    given).  Without [cache], always builds. *)
 val instance_pair : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> Graph.t * Partition.t
 
-(** The cached graph/partition pair for a dataset request: the graph from
-    the registry (itself memoized), the partition from {!partition_rng}.
+(** {!instance_pair} for a dataset request: the graph from the registry
+    (itself memoized), the partition from {!partition_rng}.
     @raise Tfree_dataset.Dataset_error.Dataset_error when the dataset is
     unknown or its file fails to load. *)
 val dataset_pair :
@@ -218,18 +230,19 @@ val dataset_pair :
   dataset_request ->
   Graph.t * Partition.t
 
-(** Build the requested instance, run the requested protocol over a wire
-    network (under the request's fault schedule, if any), reconcile.
-    Deterministic in the request's seed and fault spec — with or without
-    [cache], whose hits return the identical graph/partition a rebuild
-    would produce; the network is closed even when a fault aborts the run.
+(** Look up (or build) the requested instance, run the requested protocol
+    over a wire network (under the request's fault schedule, if any),
+    reconcile.  Deterministic in the request's seed and fault spec — with
+    or without [cache], whose hits return the identical graph/partition a
+    rebuild would produce; the network is closed even when a fault aborts
+    the run.
     @raise Wire_error.Wire_error when an injected fault aborts the run. *)
 val run_request : ?cache:instance_cache -> ?metrics:Metrics.t -> request -> response
 
-(** {!run_request} over a registered dataset: same protocol run, same
-    reply shape, graph from the registry instead of a generator.  A
-    dataset-backed response is byte-identical to the generated response
-    of the same seed when the dataset holds that generator's graph.
+(** {!run_request} over a registered dataset: the same run as a generated
+    query of the same seed, graph from the registry.  The response is
+    byte-identical to the generated one when the dataset holds that
+    generator's graph.
     @raise Wire_error.Wire_error when an injected fault aborts the run.
     @raise Tfree_dataset.Dataset_error.Dataset_error on a registry or
     load failure. *)
@@ -264,11 +277,13 @@ type serve_hooks = {
   hook_health : unit -> Jsonout.t option;
 }
 
-(** One request line to one reply line against [metrics]; sets [stop] on a
+(** One request line to one reply line against [metrics] — the JSON codec
+    over the one dispatcher the binary v2 frames share; sets [stop] on a
     shutdown command.  Returns the reply and how many protocol queries the
     line served — 0 or 1 for a plain line, up to the item count for an
     [{"op": "batch"}] line (whose [results] hold one reply object per
-    request, in order, per-item errors included).  Every failure shape
+    request, in order, per-item errors included; an item carrying an
+    ["op"] is that item's malformed error).  Every failure shape
     replies with a structured [{"ok": false, "error": ..., "category":
     ...}] and records the error under its {!Metrics.error_category};
     nothing escapes.  [version] is the wire-protocol version of the
@@ -370,20 +385,33 @@ val serve :
   unit ->
   int
 
-(** Send one request to a server at [path]; wait up to [timeout_s] (default
+(** Send one query to a server at [path]; wait up to [timeout_s] (default
     30) for the reply.  Transient failures — connection refused, timeouts,
     truncated or garbled replies, server errors in the
     timeout/transport/overload categories — retry up to [retries] (default
     0) more times with exponential backoff ([backoff_s]·2^attempt, default
     50 ms, plus up to 25% jitter deterministic in [backoff_seed]); each
     retry is tallied in [metrics] when given.  Structured server
-    rejections (malformed request, unknown op) are fatal immediately.
+    rejections (malformed request, unknown op, a dataset the server does
+    not hold) are fatal immediately.
 
     [protocol] picks the wire protocol (default [Auto]: a magic+version
     handshake, then binary v2 frames when the server speaks v2, JSON v1
     lines otherwise; [V1] skips the handshake entirely, staying
     wire-compatible with pre-v2 servers).  The retry envelope covers the
     handshake. *)
+val client_run :
+  ?timeout_s:float ->
+  ?retries:int ->
+  ?backoff_s:float ->
+  ?backoff_seed:int ->
+  ?metrics:Metrics.t ->
+  ?protocol:Proto.pref ->
+  path:string ->
+  query ->
+  (response, string) result
+
+(** [client_run (Generated r)]. *)
 val client_query :
   ?timeout_s:float ->
   ?retries:int ->
@@ -395,10 +423,7 @@ val client_query :
   request ->
   (response, string) result
 
-(** Send one [{"op": "dataset"}] query to a server at [path].  Same retry
-    envelope and protocol negotiation as {!client_query}; a server with
-    no dataset registry, or an unknown dataset name, answers a structured
-    rejection that is fatal immediately. *)
+(** [client_run (Dataset d)]. *)
 val client_dataset :
   ?timeout_s:float ->
   ?retries:int ->
@@ -412,7 +437,7 @@ val client_dataset :
 
 (** Send many requests as one [{"op": "batch"}] exchange — one line out,
     one line back — and get per-item results in request order.  The retry
-    envelope matches {!client_query} and covers the whole exchange: a
+    envelope matches {!client_run} and covers the whole exchange: a
     garbled, truncated or overload-shed batch reply retries everything,
     while a structured per-item error is that item's final [Error]. *)
 val client_batch :

@@ -2,9 +2,7 @@
 
     A transport is a duplex byte stream.  Two in-process loopback
     implementations back the wire runtime — an in-memory {!pipe} for
-    deterministic tests and a real Unix-domain {!socketpair} — plus
-    {!of_fd} wrapping one end of an established connection for the
-    [tfree-serve] daemon and its client.
+    deterministic tests and a real Unix-domain {!socketpair}.
 
     Loopback transports support {!exchange}: write a buffer and read the
     same number of bytes back from the stream.  On the socketpair this is a
@@ -32,7 +30,6 @@ type t = {
 
 let kind t = t.kind
 let send t b = t.send b
-let recv t n = t.recv n
 let exchange t b = t.exchange b
 let close t = t.close ()
 
@@ -124,27 +121,6 @@ let socketpair () =
           closed := true;
           (try Unix.close a with Unix.Unix_error _ -> ());
           try Unix.close b with Unix.Unix_error _ -> ()
-        end);
-  }
-
-(** Wrap one end of an established duplex connection (the serve/client
-    side).  [exchange] here is a plain request/response round trip — the
-    peer is another process, so no loopback interleaving is needed. *)
-let of_fd ?(kind = "fd") fd =
-  let closed = ref false in
-  {
-    kind;
-    send = (fun b -> write_all fd b);
-    recv = (fun n -> read_exact fd n);
-    exchange =
-      (fun b ->
-        write_all fd b;
-        read_exact fd (Bytes.length b));
-    close =
-      (fun () ->
-        if not !closed then begin
-          closed := true;
-          try Unix.close fd with Unix.Unix_error _ -> ()
         end);
   }
 

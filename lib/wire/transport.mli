@@ -1,22 +1,15 @@
 (** Byte transports: duplex byte streams.  {!pipe} is an in-memory FIFO
     (deterministic tests/experiments); {!socketpair} moves real bytes
-    through a Unix-domain socket pair; {!of_fd} wraps one end of an
-    established connection for the serve daemon and client; {!faulty} wraps
-    any of them with a deterministic fault-injection schedule.  All failure
+    through a Unix-domain socket pair; {!faulty} wraps either of them with a deterministic fault-injection schedule.  All failure
     modes raise the typed {!Wire_error.Wire_error}. *)
 
 type t
 
-(** "pipe", "socketpair", "fd", or the wrapped form "<kind>+faulty". *)
+(** "pipe", "socketpair", or the wrapped form "<kind>+faulty". *)
 val kind : t -> string
 
 (** Write the whole buffer. *)
 val send : t -> Bytes.t -> unit
-
-(** Read exactly [n] bytes.
-    @raise Wire_error.Wire_error — [Truncated] on a stream that cannot
-    supply them, [Peer_closed] when the other side went away. *)
-val recv : t -> int -> Bytes.t
 
 (** Loopback round trip: write the buffer, read the same number of bytes
     back.  Deadlock-free on the socketpair even for buffers larger than the
@@ -27,7 +20,6 @@ val close : t -> unit
 
 val pipe : unit -> t
 val socketpair : unit -> t
-val of_fd : ?kind:string -> Unix.file_descr -> t
 
 (** [faulty ~schedule tr] injects the scheduled faults into [tr]: the
     [op]-th write through the wrapper (0-based; [counter] shares the op
@@ -38,7 +30,6 @@ val of_fd : ?kind:string -> Unix.file_descr -> t
     splits the write in two (benign), [Close] closes the stream.  On
     loopback transports the wrapper's read side raises a typed [Truncated]
     instead of blocking when injected faults starved the stream, so a chaos
-    run can fail closed but never hang; on [of_fd] transports reads pass
-    through (pair with a read deadline on the peer).  Deterministic: same
+    run can fail closed but never hang.  Deterministic: same
     schedule, same traffic, same faults. *)
 val faulty : ?counter:int ref -> schedule:Fault.schedule -> t -> t

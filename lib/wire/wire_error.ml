@@ -11,8 +11,7 @@
     never smuggle a wrong verdict past the decoder.
 
     {!category} collapses the kinds onto the five service-telemetry buckets
-    ({!Tfree_wire.Metrics}); {!is_transient} marks the kinds a client may
-    meaningfully retry. *)
+    ({!Tfree_wire.Metrics}). *)
 
 type kind =
   | Truncated of string  (** the stream ended before the bytes the frame promised *)
@@ -45,15 +44,6 @@ let error k = raise (Wire_error k)
 
 let errorf_corrupt fmt = Printf.ksprintf (fun m -> error (Corrupt m)) fmt
 let errorf_truncated fmt = Printf.ksprintf (fun m -> error (Truncated m)) fmt
-
-(** The kinds that a fresh attempt can plausibly clear: everything a flaky
-    transport produces.  (Nothing in the taxonomy is permanent — a corrupt
-    frame re-sent is a new frame — so today every kind is transient; the
-    function exists so callers don't hard-code that.) *)
-let is_transient (_ : kind) = true
-
-(** [Some kind] when [exn] is a {!Wire_error}. *)
-let of_exn = function Wire_error k -> Some k | _ -> None
 
 let () =
   Printexc.register_printer (function Wire_error k -> Some (to_string k) | _ -> None)

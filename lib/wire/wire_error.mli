@@ -29,10 +29,3 @@ val error : kind -> 'a
 val errorf_corrupt : ('a, unit, string, 'b) format4 -> 'a
 
 val errorf_truncated : ('a, unit, string, 'b) format4 -> 'a
-
-(** Whether a fresh attempt can plausibly clear this kind (client retry
-    policy). *)
-val is_transient : kind -> bool
-
-(** [Some kind] when the exception is a {!Wire_error}. *)
-val of_exn : exn -> kind option

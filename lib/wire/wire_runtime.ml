@@ -147,16 +147,6 @@ let report_summary r =
     r.wire_bytes r.frames r.payload_bits r.framing_overhead_bits r.accounted_bits r.ratio
     (if reconciles r then "" else " [MISMATCH]")
 
-(** Per-channel (name, stats) rows, coordinator->player and player->coordinator
-    directions separately, plus the board. *)
-let per_channel net =
-  List.concat
-    [
-      List.init net.k (fun j -> (Channel.describe (Channel.To_player j), net.down.(j)));
-      List.init net.k (fun j -> (Channel.describe (Channel.From_player j), net.up.(j)));
-      [ (Channel.describe Channel.Board, net.board) ];
-    ]
-
 (* --------------------------------------- the Runtime-shaped wire surface *)
 
 type t = { net : net; rt : Runtime.t }

@@ -58,10 +58,6 @@ val reconciles : report -> bool
 
 val report_summary : report -> string
 
-(** Per-channel (name, stats) rows: both directions of each player channel,
-    then the board. *)
-val per_channel : net -> (string * chan_stats) list
-
 (** {2 The Runtime-shaped surface} *)
 
 type t

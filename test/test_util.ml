@@ -581,6 +581,19 @@ let qcheck_props =
         Lru.length c <= cap && Lru.lookups c = !lookups && Lru.hits c + Lru.misses c = !lookups);
   ]
 
+(* ------------------------------------------------------------- Checksum *)
+
+(* The frame and snapshot checksum, pinned on fixed inputs: a change here
+   changes every v2 frame, per-message frame and TFS1 snapshot on disk. *)
+let test_checksum_pinned () =
+  let b = Bytes.of_string in
+  checki "empty" 0 (Checksum.sum16 Bytes.empty 0 0);
+  checki "abc" 294 (Checksum.sum16 (b "abc") 0 3);
+  checki "a sub-range" 98 (Checksum.sum16 (b "abc") 1 1);
+  checki "wraps mod 2^16" 10964 (Checksum.sum16 (Bytes.make 300 '\xff') 0 300);
+  checkb "a range outside the bytes" true
+    (match Checksum.sum16 (b "abc") 2 2 with _ -> false | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "tfree_util"
     [
@@ -666,5 +679,6 @@ let () =
           Alcotest.test_case "bad capacity" `Quick test_lru_rejects_bad_capacity;
           Alcotest.test_case "clear" `Quick test_lru_clear;
         ] );
+      ("checksum", [ Alcotest.test_case "pinned sum16" `Quick test_checksum_pinned ]);
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

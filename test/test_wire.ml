@@ -113,13 +113,12 @@ let test_frame_buffer_roundtrip () =
     sample_msgs
 
 let stream_roundtrip tr =
-  let sent = List.map (fun msg -> (msg, Frame.write tr msg)) sample_msgs in
   List.iter
-    (fun (msg, wrote) ->
-      let back, read = Frame.read tr in
-      checki "read size = written size" wrote read;
+    (fun msg ->
+      let back, bytes = Frame.exchange tr msg in
+      checki "exchanged size = encoded size" (Bytes.length (Frame.encode msg)) bytes;
       checkb "stream round-trips" true (Msg.value back = Msg.value msg && Msg.bits back = Msg.bits msg))
-    sent
+    sample_msgs
 
 let test_frame_over_pipe () = stream_roundtrip (Transport.pipe ())
 
@@ -170,17 +169,11 @@ let forge_frame ~bits ~layout_bytes ~payload =
   Buffer.to_bytes frame
 
 let test_frame_truncated_varint () =
-  (* a length prefix whose continuation never ends, cut off by the stream *)
-  let tr = Transport.pipe () in
-  Transport.send tr (Bytes.of_string "\x80");
-  raises_wire_error "truncated varint over pipe" (fun () -> Frame.read tr);
-  (* and the same shape inside a buffer *)
+  (* a length prefix whose continuation never ends, cut off by the buffer *)
   raises_wire_error "truncated varint in buffer" (fun () ->
       Frame.decode (Bytes.of_string "\x80") (ref 0));
   (* a varint that never terminates within its 10-byte budget *)
-  let tr2 = Transport.pipe () in
-  Transport.send tr2 (Bytes.make 11 '\x80');
-  raises_wire_error "unterminated varint" (fun () -> Frame.read tr2)
+  raises_wire_error "unterminated varint" (fun () -> Frame.decode (Bytes.make 11 '\x80') (ref 0))
 
 let test_frame_length_larger_than_buffer () =
   (* length field says 100 bytes; the buffer holds 3 *)
@@ -188,7 +181,7 @@ let test_frame_length_larger_than_buffer () =
       Frame.decode (Bytes.of_string "\x64abc") (ref 0));
   (* a length beyond the hard cap must refuse before allocating *)
   let b = Buffer.create 8 in
-  Codec.put_varint b (Frame.max_frame_bytes + 1);
+  Codec.put_varint b (Proto.max_frame_bytes + 1);
   raises_wire_error "length > max_frame_bytes" (fun () -> Frame.decode (Buffer.to_bytes b) (ref 0))
 
 let test_frame_zero_length () =
@@ -1251,6 +1244,76 @@ let latency_field stats k =
       | None -> Alcotest.failf "latency_us missing %S" k)
   | None -> Alcotest.fail "stats missing latency_us"
 
+(* ------------------------------------------------------ serve-golden *)
+
+(* A v2 reply frame's tag, and its category when it is an error frame. *)
+let reply_frame_kind reply =
+  let cur = Proto.cursor () in
+  ignore (Proto.try_frame (Bytes.of_string reply) ~pos:0 ~limit:(String.length reply) cur);
+  let tag = Proto.get_u8 cur in
+  (tag, if tag = Service.tag_error then List.nth_opt Metrics.all_categories (Proto.get_u8 cur) else None)
+
+(* The golden request set against a live daemon: every reply is the byte
+   string the pre-refactor service answered, except the two cases whose
+   old reply was a bug, which must now be malformed errors. *)
+let test_golden_replies () =
+  let golden =
+    Golden_serve.parse (In_channel.with_open_bin "serve_replies.golden" In_channel.input_all)
+  in
+  checki "every case is recorded" (List.length Golden_serve.cases) (List.length golden);
+  List.iter
+    (fun (label, reply) ->
+      let old = List.assoc label golden in
+      if not (List.mem label Golden_serve.mended) then
+        Alcotest.(check string) (label ^ " reply is byte-identical") old reply
+      else
+        let category =
+          if String.starts_with ~prefix:"v1/" label then
+            match Result.map (Jsonout.member "results") (Jsonout.parse reply) with
+            | Ok (Some (Jsonout.List [ item ])) -> (
+                match Jsonout.member "category" item with
+                | Some (Jsonout.Str c) -> Metrics.category_of_name c
+                | _ -> None)
+            | _ -> None
+          else snd (reply_frame_kind reply)
+        in
+        checkb (label ^ " is now malformed") true (old <> reply && category = Some Metrics.Malformed))
+    (Golden_serve.capture ())
+
+(* A v2 batch frame whose count no body could hold — one valid item then
+   a stray byte under a count of a million — is one malformed reply:
+   nothing runs, the served/batch/cache/verdict counters stay put, and the
+   connection keeps serving. *)
+let test_garbled_batch_runs_nothing () =
+  with_forked_server ~tag:"overcount" ~expect_served:1 (fun path ->
+      let counters () =
+        match Service.client_stats ~path () with
+        | Ok s -> List.map (fun k -> Jsonout.member k s) [ "queries_served"; "batch"; "cache"; "verdicts" ]
+        | Error msg -> Alcotest.failf "stats: %s" msg
+      in
+      let before = counters () in
+      let sock = Golden_serve.connect ~v2:true path in
+      let ask label = reply_frame_kind (Golden_serve.ask sock (List.assoc label Golden_serve.cases)) in
+      checkb "malformed error frame" true
+        (ask "v2/batch-overcount" = (Service.tag_error, Some Metrics.Malformed));
+      checkb "served, batch, cache and verdict counters did not move" true (before = counters ());
+      checki "the connection still serves" Service.tag_reply (fst (ask "v2/generated"));
+      Unix.close sock)
+
+(* A JSON batch item carrying an "op" is that item's malformed error, not
+   a query of the default instance. *)
+let test_batch_item_with_op_is_malformed () =
+  let metrics = Metrics.create () in
+  let line = "{\"op\":\"batch\",\"requests\":[{\"op\":\"dataset\",\"name\":\"nope\"}]}" in
+  let reply, served = Service.handle_line ~metrics ~stop:(ref false) line in
+  checki "nothing served" 0 served;
+  match Result.map (Jsonout.member "results") (Jsonout.parse reply) with
+  | Ok (Some (Jsonout.List [ item ])) ->
+      checkb "item is malformed" true
+        (Jsonout.member "category" item = Some (Jsonout.Str "malformed"));
+      checki "no query ran" 0 (Metrics.queries_served metrics)
+  | _ -> Alcotest.failf "unexpected batch reply %s" reply
+
 let test_metrics_quantiles_empty () =
   let j = Metrics.to_json (Metrics.create ()) in
   List.iter
@@ -1827,6 +1890,11 @@ let qcheck_props =
         && Frame.overhead_bits ~frame_bytes:(Bytes.length frame) ~payload_bits:(Msg.bits msg) > 0);
   ]
 
+let frame_reference_prop =
+  QCheck.Test.make ~name:"frame encoder matches the Buffer-based reference" ~count:500
+    Tfree_proptest.Msg_gen.arbitrary (fun msg ->
+      Bytes.equal (Frame.encode msg) (Reference_frame.encode msg))
+
 (* Word-wide [Bitio] against a per-bit reference: a stream of operations
    (fixed-width fields of every width 0-62, single bits and gamma codes) is
    written by both and must give the same bytes, and reading it back with
@@ -2053,6 +2121,13 @@ let () =
           Alcotest.test_case "overload sheds with typed error" `Quick
             test_overload_sheds_with_typed_error;
         ] );
+      ( "serve-golden",
+        [
+          Alcotest.test_case "replies match the pre-refactor bytes" `Quick test_golden_replies;
+          Alcotest.test_case "garbled v2 batch runs nothing" `Quick test_garbled_batch_runs_nothing;
+          Alcotest.test_case "JSON batch item with an op is malformed" `Quick
+            test_batch_item_with_op_is_malformed;
+        ] );
       ( "metrics",
         [
           Alcotest.test_case "quantiles on empty registry" `Quick test_metrics_quantiles_empty;
@@ -2075,5 +2150,6 @@ let () =
         ] );
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
-          (qcheck_props @ bitio_props @ shard_qcheck_props @ [ fleet_merge_order_prop; chaos_qcheck_prop ]) );
+          (qcheck_props @ bitio_props @ shard_qcheck_props
+          @ [ fleet_merge_order_prop; chaos_qcheck_prop; frame_reference_prop ]) );
     ]
